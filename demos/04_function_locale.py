@@ -20,7 +20,7 @@ from formalballs import (
     round_trip,
     tau_from_point,
 )
-from formalballs.lawsuite import line_map
+from formalballs.maps import line_map
 
 LINE = rational_line()
 

@@ -56,6 +56,10 @@ from .maps import (
     extend_by_density,
     identity_map,
     limit_of_maps,
+    line_map,
+    lipschitz_line_map,
+    pair_maps,
+    proj_map,
 )
 from .function_locale import (
     MMInstance,
@@ -84,9 +88,7 @@ from .reals import (
     neg_c,
     neg_r,
     real_of_rational,
-    scale_c,
     scale_r,
-    sub_c,
     sub_r,
 )
 from .gelfand import (

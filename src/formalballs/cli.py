@@ -32,7 +32,7 @@ from .gelfand import (
     spectrum_of_cn,
     verify_character,
 )
-from .lawsuite import line_map, run_law_suite, suite_json
+from .lawsuite import run_law_suite, suite_json
 from .maps import (
     ISOMETRIC,
     METRIC,
@@ -41,8 +41,12 @@ from .maps import (
     apply_map,
     compose_maps,
     identity_map,
+    line_map,
+    lipschitz_line_map,
+    pair_maps,
+    proj_map,
 )
-from .numbers import decimal_str, half_pow, parse_rational, rational_str
+from .numbers import decimal_str, parse_rational, rational_str
 from .reals import (
     abs_r,
     add_r,
@@ -154,83 +158,15 @@ def _rational_arg(ts: _Tokens) -> Fraction:
     return Fraction(t)
 
 
-def _const_map(q: Fraction) -> MapRep:
-    return MapRep(
-        source=LINE,
-        target=LINE,
-        carrier_map=lambda _x: point_of_carrier(LINE, q),
-        modulus=lambda eps: eps,
-        cls=METRIC,
-        label=f"const {rational_str(q)}",
-    )
-
-
-def _shift_map(q: Fraction) -> MapRep:
-    return MapRep(
-        source=LINE,
-        target=LINE,
-        carrier_map=lambda x: point_of_carrier(LINE, x + q),
-        modulus=lambda eps: eps,
-        cls=ISOMETRIC,
-        label=f"add {rational_str(q)}",
-    )
-
-
-def _scale_map(q: Fraction) -> MapRep:
-    scale = max(abs(q), Fraction(1))
-    return MapRep(
-        source=LINE,
-        target=LINE,
-        carrier_map=lambda x: point_of_carrier(LINE, q * x),
-        modulus=lambda eps: eps / scale,
-        cls=METRIC if abs(q) <= 1 else UNIFORM,
-        label=f"scale {rational_str(q)}",
-    )
-
-
-def _neg_map() -> MapRep:
-    return line_map(-1, 0, label="neg")
-
-
-def _abs_map() -> MapRep:
-    return MapRep(
-        source=LINE,
-        target=LINE,
-        carrier_map=lambda x: point_of_carrier(LINE, abs(x)),
-        modulus=lambda eps: eps,
-        cls=METRIC,
-        label="abs",
-    )
-
-
-def _pair_map(f: MapRep, g: MapRep) -> MapRep:
-    from .carriers import product_space
-
-    if f.source.kind != g.source.kind:
-        raise ParseFailure("pair components need the same source carrier")
-    prod = product_space(f.target, g.target)
-    return MapRep(
-        source=f.source,
-        target=prod,
-        carrier_map=lambda x: pair_point(f.carrier_map(x), g.carrier_map(x)),
-        modulus=lambda eps: min(f.modulus(eps), g.modulus(eps)),
-        cls=METRIC,
-        label=f"pair({f.label},{g.label})",
-    )
-
-
-def _proj_map(side: int) -> MapRep:
-    from .carriers import product_space
-
-    prod = product_space(LINE, LINE)
-    return MapRep(
-        source=prod,
-        target=LINE,
-        carrier_map=lambda x: point_of_carrier(LINE, x[side - 1]),
-        modulus=lambda eps: eps,
-        cls=METRIC,
-        label=f"proj{side}",
-    )
+_LINE_MAPS = {
+    "const": lambda q: lipschitz_line_map(
+        lambda _x: q, 0, METRIC, f"const {rational_str(q)}"),
+    "add": lambda q: lipschitz_line_map(
+        lambda x: x + q, 1, ISOMETRIC, f"add {rational_str(q)}"),
+    "scale": lambda q: lipschitz_line_map(
+        lambda x: q * x, abs(q), METRIC if abs(q) <= 1 else UNIFORM,
+        f"scale {rational_str(q)}"),
+}
 
 
 def _parse_map(ts: _Tokens) -> MapRep:
@@ -238,25 +174,23 @@ def _parse_map(ts: _Tokens) -> MapRep:
     if t == "id":
         return identity_map(LINE)
     if t in ("proj1", "proj2"):
-        return _proj_map(1 if t == "proj1" else 2)
+        return proj_map(LINE, LINE, int(t[-1]))
     if t == "neg":
-        return _neg_map()
+        return line_map(-1, 0, label="neg")
     if t == "abs":
-        return _abs_map()
-    if t in ("const", "add", "scale"):
+        return lipschitz_line_map(abs, 1, METRIC, "abs")
+    if t in _LINE_MAPS:
         ts.expect("(")
         q = _rational_arg(ts)
         ts.expect(")")
-        return {"const": _const_map, "add": _shift_map, "scale": _scale_map}[t](q)
+        return _LINE_MAPS[t](q)
     if t in ("compose", "pair"):
         ts.expect("(")
         f = _parse_map(ts)
         ts.expect(",")
         g = _parse_map(ts)
         ts.expect(")")
-        if t == "compose":
-            return compose_maps(f, g)
-        return _pair_map(f, g)
+        return (compose_maps if t == "compose" else pair_maps)(f, g)
     raise ParseFailure(f"unknown map operator {t!r}")
 
 
@@ -273,9 +207,12 @@ def parse_map_expr(text: str) -> MapRep:
 def _load_payload(args) -> dict:
     text = args.payload if args.payload is not None else sys.stdin.read()
     try:
-        return json.loads(text)
+        payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseFailure(f"payload is not valid JSON: {exc}")
+    if not isinstance(payload, dict):
+        raise ParseFailure("payload must be a JSON object")
+    return payload
 
 
 def _carrier_from_json(payload):
@@ -289,9 +226,10 @@ def _carrier_from_json(payload):
 
 def _open_from_json(carrier, balls) -> BallOpen:
     def center(c):
-        if carrier.kind == ("line",):
-            return parse_rational(c)
-        return int(c)
+        x = parse_rational(c) if carrier.kind == ("line",) else int(c)
+        if not carrier.contains(x):
+            raise ParseFailure(f"ball center {c!r} is not a point of the carrier")
+        return x
 
     return BallOpen(
         carrier,
@@ -486,7 +424,7 @@ def main(argv=None) -> int:
         return 2
     try:
         code, payload = args.handler(args)
-    except (ParseFailure, KeyError, ValueError, IndexError) as exc:
+    except (ParseFailure, KeyError, ValueError, IndexError, ArithmeticError) as exc:
         out = json.dumps({"error": str(exc)}, sort_keys=True)
         print(out)
         return 2

@@ -12,11 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable
 
 from .balls import BallOpen, FormalBall, diameter_upper, way_inside
 from .carriers import MetricCarrier
-from .completion import CompletionPoint, member_query, point_of_carrier
+from .completion import member_query, point_of_carrier
 from .maps import MapRep, apply_map
 from .numbers import half_pow, parse_rational, rational_str
 from .upper import Query
@@ -42,37 +42,31 @@ def holds(pp: PairProp, f: MapRep, effort: int) -> Query:
     Yes iff the image of some center of u is provably a member of v at
     this effort; sound for positivity of the pulled-back overlap.
     """
-    return _holds_with_probes(pp.u, pp.v, f, effort, ())
-
-
-def _holds_with_probes(
-    u: BallOpen, v: BallOpen, f: MapRep, effort: int, extra_probes
-) -> Query:
-    if not u.balls or not v.balls:
+    if _holds_witness(pp.u, pp.v, f, effort) is None:
         return Query.NOT_YET
-    if f.source.kind != u.carrier.kind:
-        raise ValueError("proposition source does not match the map's source")
-    carrier = u.carrier
-    probes = [b.center for b in u.balls]
-    for x in extra_probes:
-        # an extra probe counts only when it provably lies inside u
-        for b in u.balls:
-            if carrier.dist(x, b.center, effort).hi < b.radius:
-                probes.append(x)
-                break
-    for x in probes:
-        image = apply_map(f, point_of_carrier(f.source, x))
-        if member_query(image, v, effort).is_yes:
-            return Query.YES
-    return Query.NOT_YET
+    return Query.YES
 
 
-def _holds_witness(u: BallOpen, v: BallOpen, f: MapRep, effort: int):
-    """Like holds, but returns a witnessing (ball of u, image point) or None."""
+def _holds_witness(
+    u: BallOpen, v: BallOpen, f: MapRep, effort: int, extra_probes=()
+):
+    """A witnessing (ball of u, image point) for holds, or None.
+
+    Probes the centers of u first, then each extra probe that provably
+    lies inside a ball of u (which is the ball reported for it).
+    """
     if not u.balls or not v.balls:
         return None
-    for b in u.balls:
-        image = apply_map(f, point_of_carrier(f.source, b.center))
+    if f.source.kind != u.carrier.kind:
+        raise ValueError("proposition source does not match the map's source")
+    probes = [(b, b.center) for b in u.balls]
+    for x in extra_probes:
+        for b in u.balls:
+            if u.carrier.dist(x, b.center, effort).hi < b.radius:
+                probes.append((b, x))
+                break
+    for b, x in probes:
+        image = apply_map(f, point_of_carrier(f.source, x))
         if member_query(image, v, effort).is_yes:
             return b, image
     return None
@@ -184,11 +178,11 @@ def check_axiom(inst: MMInstance, f: MapRep, effort: int) -> dict:
 
 
 def _check_mm1(d, f, effort):
-    if not _holds_with_probes(d["u_small"], d["v_small"], f, effort, ()).is_yes:
+    if _holds_witness(d["u_small"], d["v_small"], f, effort) is None:
         return _result("MM1", INCONCLUSIVE, effort, reason="premise not established")
     # centers of the small parts are valid probes for the large ones
     probes = [b.center for b in d["u_small"].balls]
-    if _holds_with_probes(d["u"], d["v"], f, effort, probes).is_yes:
+    if _holds_witness(d["u"], d["v"], f, effort, probes) is not None:
         return _result("MM1", PASS, effort)
     return _result("MM1", INCONCLUSIVE, effort, reason="conclusion search exhausted")
 
@@ -214,9 +208,7 @@ def _check_mm3(d, f, effort):
     q = parse_rational(d["q"])
     # stage depth needed for the image center to certify membership
     m = _stage_below(q / 16)
-    n = _stage_below(q / 16)
-    budget = max(effort, 64)
-    if max(m, n) > budget:
+    if m > max(effort, 64):
         return _result("MM3", INCONCLUSIVE, effort, reason="effort budget exhausted")
     x = d["u"].balls[0].center
     image = apply_map(f, point_of_carrier(f.source, x))
@@ -224,7 +216,7 @@ def _check_mm3(d, f, effort):
     v = BallOpen.of(f.target, FormalBall(center, q / 4))
     if (
         diameter_upper(v).less_than(q, effort).is_yes
-        and holds(PairProp(d["u"], v), f, max(effort, n + 2)).is_yes
+        and holds(PairProp(d["u"], v), f, max(effort, m + 2)).is_yes
     ):
         return _result("MM3", PASS, effort, witness=v.to_json())
     return _result("MM3", INCONCLUSIVE, effort, reason="conclusion search exhausted")
@@ -344,6 +336,12 @@ def _grid_centers(carrier: MetricCarrier, v: BallOpen, step: Fraction, span: int
     return centers
 
 
+def _grid(effort: int):
+    """Shrink levels and center span of the reconstruction grid at this effort."""
+    levels = [Fraction(2), Fraction(1), Fraction(1, 2), Fraction(1, 4)]
+    return levels[: min(4, max(1, effort.bit_length() // 2))], 2 + effort // 16
+
+
 def tau_from_point(
     oracle: Callable[[PairProp, int], Query],
     source: MetricCarrier,
@@ -356,9 +354,7 @@ def tau_from_point(
     (W, V') for some q-shrinking V' of v.  The grid (dyadic levels, span
     growing with effort) only ever adds balls as effort grows.
     """
-    levels = [Fraction(2), Fraction(1), Fraction(1, 2), Fraction(1, 4)]
-    levels = levels[: min(4, max(1, effort.bit_length() // 2))]
-    span = 2 + effort // 16
+    levels, span = _grid(effort)
     query_effort = min(effort, 24)
     accepted: dict = {}
     for q in levels:
@@ -403,6 +399,7 @@ def round_trip(
         elif in_tau:
             violations.append(p.to_json(4))
     coverage = Fraction(covered, total_in_v) if total_in_v else Fraction(1)
+    levels, span = _grid(effort)
     return {
         "map": f.label,
         "tau": tau.to_json(),
@@ -411,10 +408,5 @@ def round_trip(
         "covered": covered,
         "total_in_v": total_in_v,
         "coverage": rational_str(coverage),
-        "grid": {
-            "levels": [rational_str(q) for q in
-                       [Fraction(2), Fraction(1), Fraction(1, 2), Fraction(1, 4)][
-                           : min(4, max(1, effort.bit_length() // 2))]],
-            "span": 2 + effort // 16,
-        },
+        "grid": {"levels": [rational_str(q) for q in levels], "span": span},
     }

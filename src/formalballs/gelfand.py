@@ -22,7 +22,6 @@ from .reals import (
     modulus_c,
     modulus_interval,
     mul_c,
-    scale_c,
 )
 from .upper import Query, UpperReal
 
@@ -192,10 +191,6 @@ def alg_star(a: AlgebraElement) -> AlgebraElement:
     return AlgebraElement(tuple(conj_c(x) for x in a.values))
 
 
-def alg_scale(a: AlgebraElement, c) -> AlgebraElement:
-    return AlgebraElement(tuple(scale_c(x, c) for x in a.values))
-
-
 def unit(n: int) -> AlgebraElement:
     return AlgebraElement(tuple(complex_of_rational(1) for _ in range(n)))
 
@@ -307,10 +302,19 @@ def spectrum_of_cn(n: int):
     ]
 
 
+def _within(a, b, k: int, err: Fraction) -> bool:
+    """|s - t| + err < 2^-k for each coordinate pair of the stages a, b."""
+    return all(abs(s - t) + err < half_pow(k) for s, t in zip(a, b))
+
+
 def _close_to(z: ComplexPoint, target: Fraction, k: int) -> bool:
-    re, im = z.approx(k + 3)
-    err = half_pow(k + 2)
-    return abs(re - target) + err < half_pow(k) and abs(im) + err < half_pow(k)
+    """z within 2^-k of an exact real target; the slack covers one stage error."""
+    return _within(z.approx(k + 3), (target, 0), k, half_pow(k + 2))
+
+
+def _is_query_equal(x: ComplexPoint, y: ComplexPoint, k: int) -> bool:
+    """x within 2^-k of y; the wider slack covers both stage errors."""
+    return _within(x.approx(k + 3), y.approx(k + 3), k, half_pow(k + 1))
 
 
 def verify_character(chi: Character, samples, bound: int, k: int) -> dict:
@@ -360,13 +364,6 @@ def verify_character(chi: Character, samples, bound: int, k: int) -> dict:
         "failures": failures,
         "k": k,
     }
-
-
-def _is_query_equal(x: ComplexPoint, y: ComplexPoint, k: int) -> bool:
-    xr, xi = x.approx(k + 3)
-    yr, yi = y.approx(k + 3)
-    err = half_pow(k + 1)
-    return abs(xr - yr) + err < half_pow(k) and abs(xi - yi) + err < half_pow(k)
 
 
 def duality_round_trip(n: int, k: int, samples=None, bound: int = 8) -> dict:

@@ -24,7 +24,7 @@ from .completion import (
     seed_member_query,
     seed_of_point,
 )
-from .function_locale import MMInstance, PairProp, check_axiom, holds, round_trip
+from .function_locale import MMInstance, check_axiom, round_trip
 from .gelfand import (
     AlgebraElement,
     BasicOpenXR,
@@ -35,10 +35,9 @@ from .gelfand import (
     spectrum_of_cn,
     verify_character,
 )
-from .maps import ISOMETRIC, METRIC, MapRep, apply_map, extend_by_density
+from .maps import MapRep, apply_map, extend_by_density, line_map
 from .numbers import half_pow, rational_str
 from .reals import (
-    RealPoint,
     abs_r,
     add_r,
     max_r,
@@ -357,23 +356,6 @@ def law_extension_uniqueness(
 
 
 # -- function locale: axiom checks never Fail, round trips sound -----------
-
-
-def line_map(a, b, label=None) -> MapRep:
-    """x -> a x + b with |a| <= 1: a metric map on the line."""
-    a = Fraction(a)
-    b = Fraction(b)
-    if abs(a) > 1:
-        raise ValueError("slope must be at most 1 for a metric line map")
-    cls = ISOMETRIC if abs(a) == 1 else METRIC
-    return MapRep(
-        source=LINE,
-        target=LINE,
-        carrier_map=lambda x: point_of_carrier(LINE, a * x + b),
-        modulus=lambda eps: eps,
-        cls=cls,
-        label=label or f"affine({a},{b})",
-    )
 
 
 def standard_metric_maps():

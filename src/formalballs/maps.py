@@ -10,27 +10,29 @@ from __future__ import annotations
 
 import random
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .carriers import MetricCarrier
+from .carriers import MetricCarrier, product_space, rational_line
 from .completion import (
     CertificateError,
     CompletionPoint,
     limit_point,
+    pair_point,
     point_distance,
     point_of_carrier,
     apartness_query,
 )
-from .numbers import half_pow, parse_rational, rational_str
-from .upper import Query
+from .numbers import half_pow, parse_rational
 
 ISOMETRIC = "isometric"
 METRIC = "metric"
 UNIFORM = "uniform"
 
 _CLASS_ORDER = {ISOMETRIC: 2, METRIC: 1, UNIFORM: 0}
+
+LINE = rational_line()
 
 
 class RegionError(ValueError):
@@ -145,6 +147,63 @@ def compose_maps(g: MapRep, f: MapRep) -> MapRep:
         cls=cls,
         region=f.region,
         label=f"{g.label}.{f.label}",
+    )
+
+
+def pair_maps(f: MapRep, g: MapRep) -> MapRep:
+    """x -> (f x, g x) into the product of the two targets."""
+    if f.source.kind != g.source.kind:
+        raise ValueError("pair components need the same source carrier")
+    return MapRep(
+        source=f.source,
+        target=product_space(f.target, g.target),
+        carrier_map=lambda x: pair_point(f.carrier_map(x), g.carrier_map(x)),
+        modulus=lambda eps: min(f.modulus(eps), g.modulus(eps)),
+        cls=METRIC,
+        label=f"pair({f.label},{g.label})",
+    )
+
+
+def proj_map(left: MetricCarrier, right: MetricCarrier, side: int) -> MapRep:
+    """The projection of left x right onto factor 1 (left) or 2 (right)."""
+    if side not in (1, 2):
+        raise ValueError("projection side must be 1 or 2")
+    target = left if side == 1 else right
+    return MapRep(
+        source=product_space(left, right),
+        target=target,
+        carrier_map=lambda x: point_of_carrier(target, x[side - 1]),
+        modulus=lambda eps: eps,
+        cls=METRIC,
+        label=f"proj{side}",
+    )
+
+
+def lipschitz_line_map(fn, lipschitz, cls: str, label: str) -> MapRep:
+    """x -> fn(x) on the rational line, certified by a Lipschitz constant.
+
+    The modulus is eps / max(lipschitz, 1); the caller names the class.
+    """
+    scale = max(Fraction(lipschitz), Fraction(1))
+    return MapRep(
+        source=LINE,
+        target=LINE,
+        carrier_map=lambda x: point_of_carrier(LINE, fn(x)),
+        modulus=lambda eps: eps / scale,
+        cls=cls,
+        label=label,
+    )
+
+
+def line_map(a, b, label=None) -> MapRep:
+    """x -> a x + b with |a| <= 1: a metric map on the line."""
+    a = Fraction(a)
+    b = Fraction(b)
+    if abs(a) > 1:
+        raise ValueError("slope must be at most 1 for a metric line map")
+    cls = ISOMETRIC if abs(a) == 1 else METRIC
+    return lipschitz_line_map(
+        lambda x: a * x + b, abs(a), cls, label or f"affine({a},{b})"
     )
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .carriers import MetricCarrier, rational_line
+from .carriers import rational_line
 from .completion import CompletionPoint, point_of_carrier
 from .numbers import half_pow, parse_rational, sqrt_lower, sqrt_upper
 from .upper import UpperReal
@@ -133,10 +133,6 @@ def add_c(a: ComplexPoint, b: ComplexPoint) -> ComplexPoint:
     return ComplexPoint(add_r(a.re, b.re), add_r(a.im, b.im))
 
 
-def sub_c(a: ComplexPoint, b: ComplexPoint) -> ComplexPoint:
-    return ComplexPoint(sub_r(a.re, b.re), sub_r(a.im, b.im))
-
-
 def neg_c(a: ComplexPoint) -> ComplexPoint:
     return ComplexPoint(neg_r(a.re), neg_r(a.im))
 
@@ -150,10 +146,6 @@ def mul_c(a: ComplexPoint, b: ComplexPoint, bound: int) -> ComplexPoint:
     re = sub_r(mul_r(a.re, b.re, bound), mul_r(a.im, b.im, bound))
     im = add_r(mul_r(a.re, b.im, bound), mul_r(a.im, b.re, bound))
     return ComplexPoint(re, im)
-
-
-def scale_c(a: ComplexPoint, c) -> ComplexPoint:
-    return ComplexPoint(scale_r(a.re, c), scale_r(a.im, c))
 
 
 def modulus_interval(a: ComplexPoint, n: int):
@@ -172,9 +164,3 @@ def modulus_interval(a: ComplexPoint, n: int):
 def modulus_c(a: ComplexPoint) -> UpperReal:
     """Sound upper real for |a| = sqrt(re^2 + im^2)."""
     return UpperReal(lambda n: modulus_interval(a, n)[1])
-
-
-def real_eq_check(p: RealPoint, q: RealPoint, k: int) -> bool:
-    """|p - q| < 2^-k established by direct stage comparison."""
-    d = abs(p.approx(k + 3) - q.approx(k + 3))
-    return d + half_pow(k + 2) < half_pow(k)

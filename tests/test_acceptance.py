@@ -5,6 +5,7 @@ complete.  Every check calls the library's own law catalog at the advertised
 scale and tolerance; nothing here is mocked or scaled down.
 """
 
+import hashlib
 import time
 
 from formalballs.lawsuite import (
@@ -19,6 +20,13 @@ from formalballs.lawsuite import (
     suite_json,
 )
 from formalballs.numbers import parse_rational
+
+
+# sha256 of suite_json(run_law_suite(seed=0)); a change here changes the
+# bytes of `formalballs law-suite --seed 0`, which must be deliberate
+SEED0_SUITE_SHA256 = (
+    "e86074e1ef586d9e24df0b9059fa3e06236ef00abf60ebb9acaeffb861259614"
+)
 
 
 def _announce(name, ok, detail=""):
@@ -114,5 +122,10 @@ def test_criterion_7_finite_duality():
 def test_criterion_8_determinism():
     a = suite_json(run_law_suite(seed=0))
     b = suite_json(run_law_suite(seed=0))
-    ok = a == b and '"result":"Pass"' in a
-    _announce("8 law suite byte-identical across runs", ok, f"{len(a)} bytes")
+    digest = hashlib.sha256(a.encode()).hexdigest()
+    ok = a == b and '"result":"Pass"' in a and digest == SEED0_SUITE_SHA256
+    _announce(
+        "8 law suite byte-identical across runs",
+        ok,
+        f"{len(a)} bytes, sha256 {digest[:16]}",
+    )

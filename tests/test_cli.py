@@ -152,3 +152,26 @@ def test_parsers_reject_trailing_garbage():
         parse_real_expr("1/2 extra")
     with pytest.raises(ParseFailure):
         parse_map_expr("id id")
+
+
+TWO_POINTS = {"type": "finite", "n": 2, "d": [["0", "1"], ["1", "0"]]}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["real-eval", "mul(5,5,2)"],
+        ["real-eval", "1/0"],
+        ["map-apply", "scale(2)", "1/0"],
+        ["ball-check", "[1]"],
+        ["ball-check", json.dumps({
+            "check": "member", "carrier": TWO_POINTS,
+            "u": [{"c": "-2", "r": "1"}], "point": "0",
+        })],
+    ],
+)
+def test_contract_errors_exit_2_with_one_error_document(capsys, argv):
+    code = main(argv)
+    out = capsys.readouterr().out
+    assert code == 2
+    assert out.count("\n") == 1 and set(json.loads(out)) == {"error"}

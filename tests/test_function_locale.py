@@ -14,8 +14,7 @@ from formalballs.function_locale import (
     tau_from_point,
     validate_instance,
 )
-from formalballs.lawsuite import line_map
-from formalballs.maps import identity_map
+from formalballs.maps import identity_map, line_map
 from formalballs.upper import Query
 
 LINE = rational_line()

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from formalballs.carriers import rational_line
+from formalballs.cli import parse_map_expr
 from formalballs.completion import (
     CertificateError,
     member_query,
@@ -24,6 +25,7 @@ from formalballs.maps import (
     extend_by_density,
     identity_map,
     limit_of_maps,
+    line_map,
 )
 from formalballs.numbers import half_pow
 
@@ -220,3 +222,30 @@ def test_limit_of_maps_bad_certificate():
 
     with pytest.raises(CertificateError):
         limit_of_maps(seq, lambda _eps: 0, sample_points=[Fraction(0)])
+
+
+@pytest.mark.parametrize(
+    "token, label, cls, modulus",
+    [
+        ("id", "id", ISOMETRIC, Fraction(1, 8)),
+        ("neg", "neg", ISOMETRIC, Fraction(1, 8)),
+        ("abs", "abs", METRIC, Fraction(1, 8)),
+        ("const(1/2)", "const 1/2", METRIC, Fraction(1, 8)),
+        ("add(3)", "add 3/1", ISOMETRIC, Fraction(1, 8)),
+        ("scale(1/2)", "scale 1/2", METRIC, Fraction(1, 8)),
+        ("scale(-1)", "scale -1/1", METRIC, Fraction(1, 8)),
+        ("scale(2)", "scale 2/1", UNIFORM, Fraction(1, 16)),
+        ("proj1", "proj1", METRIC, Fraction(1, 8)),
+        ("proj2", "proj2", METRIC, Fraction(1, 8)),
+        ("pair(id,neg)", "pair(id,neg)", METRIC, Fraction(1, 8)),
+        ("compose(scale(1/2),add(1))", "scale 1/2.add 1/1", METRIC, Fraction(1, 8)),
+    ],
+)
+def test_map_tokens_keep_label_class_and_modulus(token, label, cls, modulus):
+    f = parse_map_expr(token)
+    assert (f.label, f.cls, f.modulus(Fraction(1, 8))) == (label, cls, modulus)
+
+
+def test_line_map_rejects_steep_slope():
+    with pytest.raises(ValueError):
+        line_map(2, 0)
