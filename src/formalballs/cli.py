@@ -115,7 +115,7 @@ _RATIONAL = re.compile(r"-?\d+(?:/\d+)?$")
 def _parse_real(ts: _Tokens):
     t = ts.next()
     if _RATIONAL.match(t):
-        return real_of_rational(Fraction(t))
+        return real_of_rational(parse_rational(t))
     ops1 = {"neg": neg_r, "abs": abs_r}
     ops2 = {"add": add_r, "sub": sub_r, "max": max_r, "min": min_r}
     if t in ops1:
@@ -155,7 +155,7 @@ def _rational_arg(ts: _Tokens) -> Fraction:
     t = ts.next()
     if not _RATIONAL.match(t):
         raise ParseFailure(f"expected a rational, got {t!r}")
-    return Fraction(t)
+    return parse_rational(t)
 
 
 _LINE_MAPS = {
@@ -252,7 +252,7 @@ def _cmd_real_eval(args):
 
 def _cmd_map_apply(args):
     f = parse_map_expr(args.map)
-    parts = [Fraction(s) for s in args.point.split(",")]
+    parts = [parse_rational(s) for s in args.point.split(",")]
     if f.source.kind == ("line",):
         if len(parts) != 1:
             raise ParseFailure("this map expects a single rational point")
@@ -424,6 +424,9 @@ def main(argv=None) -> int:
         return 2
     try:
         code, payload = args.handler(args)
+    except RecursionError:
+        print(json.dumps({"error": "expression nested too deeply"}))
+        return 2
     except (ParseFailure, KeyError, ValueError, IndexError, ArithmeticError) as exc:
         out = json.dumps({"error": str(exc)}, sort_keys=True)
         print(out)

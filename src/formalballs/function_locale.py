@@ -18,7 +18,7 @@ from .balls import BallOpen, FormalBall, diameter_upper, way_inside
 from .carriers import MetricCarrier
 from .completion import member_query, point_of_carrier
 from .maps import MapRep, apply_map
-from .numbers import half_pow, parse_rational, rational_str
+from .numbers import half_pow, parse_rational, rational_str, stage_below
 from .upper import Query
 
 PASS = "Pass"
@@ -143,14 +143,6 @@ def validate_instance(inst: MMInstance, effort: int = 16) -> None:
             raise ValueError("MM5: tau not contained in both w1 and w2")
 
 
-def _stage_below(eps: Fraction) -> int:
-    """Smallest n with 2^-n < eps."""
-    n = 0
-    while half_pow(n) >= eps:
-        n += 1
-    return n
-
-
 def _result(axiom, result, effort, **extra):
     out = {"axiom": axiom, "result": result, "effort": effort}
     out.update(extra)
@@ -207,7 +199,7 @@ def _check_mm2(d, f, effort):
 def _check_mm3(d, f, effort):
     q = parse_rational(d["q"])
     # stage depth needed for the image center to certify membership
-    m = _stage_below(q / 16)
+    m = stage_below(q / 16)
     if m > max(effort, 64):
         return _result("MM3", INCONCLUSIVE, effort, reason="effort budget exhausted")
     x = d["u"].balls[0].center
@@ -239,7 +231,7 @@ def _check_mm4(d, f, effort):
         return _result("MM4", INCONCLUSIVE, effort, reason="no interior stage found")
     slack, n, z = best
     inner = BallOpen.of(carrier, FormalBall(z, half_pow(n) + slack / 2))
-    k = _stage_below(slack / 4)
+    k = stage_below(slack / 4)
     if (
         way_inside(inner, slack / 4, d["v"], effort).is_yes
         and holds(PairProp(d["u"], inner), f, max(effort, k + 2)).is_yes
@@ -271,7 +263,7 @@ def _check_mm5(d, f, effort):
             continue
         rho = slack / 2
         v = BallOpen.of(carrier, FormalBall(c, rho))
-        n = _stage_below(rho / 4)
+        n = stage_below(rho / 4)
         if (
             _contained(v, d["v1"], effort)
             and _contained(v, d["v2"], effort)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 import threading
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
@@ -24,7 +25,7 @@ from .completion import (
     point_of_carrier,
     apartness_query,
 )
-from .numbers import half_pow, parse_rational
+from .numbers import half_pow, parse_rational, stage_below
 
 ISOMETRIC = "isometric"
 METRIC = "metric"
@@ -43,14 +44,18 @@ class ModulusFn:
     """Monotone non-decreasing wrapper around a raw modulus function.
 
     Clamps each answer against answers already given for larger eps, so
-    the exposed function can never decrease as eps grows.
+    the exposed function can never decrease as eps grows.  The cache is
+    non-decreasing in eps after every call, so a miss reads its bound off
+    the next larger key and clamps smaller keys only until one is already
+    at or below the new answer.
     """
 
-    __slots__ = ("_raw", "_cache", "_lock")
+    __slots__ = ("_raw", "_cache", "_keys", "_lock")
 
     def __init__(self, raw: Callable[[Fraction], Fraction]):
         self._raw = raw
         self._cache: dict[Fraction, Fraction] = {}
+        self._keys: list[Fraction] = []  # the cache keys, ascending
         self._lock = threading.Lock()
 
     def __call__(self, eps: Fraction) -> Fraction:
@@ -63,12 +68,16 @@ class ModulusFn:
             eta = parse_rational(self._raw(eps))
             if eta <= 0:
                 raise ValueError("modulus must return a positive rational")
-            for e2, v2 in self._cache.items():
-                if e2 >= eps:
-                    eta = min(eta, v2)
-                else:
-                    self._cache[e2] = min(v2, eta)
-            self._cache[eps] = eta
+            cache, keys = self._cache, self._keys
+            i = bisect_left(keys, eps)
+            if i < len(keys):
+                eta = min(eta, cache[keys[i]])
+            for j in range(i - 1, -1, -1):
+                if cache[keys[j]] <= eta:
+                    break
+                cache[keys[j]] = eta
+            keys.insert(i, eps)
+            cache[eps] = eta
             return eta
 
 
@@ -92,12 +101,8 @@ class MapRep:
 
 
 def _stage_for(modulus: ModulusFn, n: int) -> int:
-    """Smallest m with 2^(1-m) < modulus(2^-(n+1))."""
-    eta = modulus(half_pow(n + 1))
-    m = 0
-    while half_pow(m - 1) >= eta:
-        m += 1
-    return max(m, n + 1)
+    """Smallest m >= n + 1 with 2^(1-m) < modulus(2^-(n+1))."""
+    return max(stage_below(modulus(half_pow(n + 1))), n) + 1
 
 
 def apply_map(f: MapRep, p: CompletionPoint) -> CompletionPoint:

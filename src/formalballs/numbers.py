@@ -84,6 +84,19 @@ def half_pow(n: int) -> Fraction:
     return Fraction(1, 2 ** n)
 
 
+def stage_below(eps: Fraction) -> int:
+    """Smallest n >= 0 with 2^-n < eps, read off the bit lengths of eps.
+
+    With eps = p/q, 2^-n < eps iff p * 2^n > q.  The bit lengths put the
+    answer at n0 or n0 + 1 for n0 = max(0, len(q) - len(p)).
+    """
+    p, q = eps.numerator, eps.denominator
+    if p <= 0:
+        raise ValueError(f"stage_below needs a positive rational, got {eps}")
+    n0 = max(0, q.bit_length() - p.bit_length())
+    return n0 if p << n0 > q else n0 + 1
+
+
 def parse_rational(s) -> Fraction:
     """Parse "p/q" (or a bare integer string / int) into a Fraction."""
     if isinstance(s, Fraction):
@@ -91,7 +104,11 @@ def parse_rational(s) -> Fraction:
     if isinstance(s, int):
         return Fraction(s)
     if isinstance(s, str):
-        return Fraction(s.strip())
+        text = s.strip()
+        try:
+            return Fraction(text)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {text!r}") from None
     raise ValueError(f"not a rational: {s!r}")
 
 

@@ -89,11 +89,11 @@ def _certify_bound(p: RealPoint, bound: int) -> None:
     for m in (4, 8, 16):
         if abs(p.approx(m)) + half_pow(m) <= bound:
             return
-    raise BoundViolation(f"could not certify |value| < {bound}")
+    raise BoundViolation(f"could not certify |value| <= {bound}")
 
 
 def mul_r(p: RealPoint, q: RealPoint, bound: int) -> RealPoint:
-    """Product of two reals certified to satisfy |p|, |q| < bound.
+    """Product of two reals, each certified to satisfy |factor| <= bound.
 
     Stage n reads both factors k extra bits deep, k the bit length of
     2*bound + 2, so the product error stays below 2^-(n+1).

@@ -168,6 +168,8 @@ TWO_POINTS = {"type": "finite", "n": 2, "d": [["0", "1"], ["1", "0"]]}
             "check": "member", "carrier": TWO_POINTS,
             "u": [{"c": "-2", "r": "1"}], "point": "0",
         })],
+        ["real-eval", "neg(" * 3000 + "1" + ")" * 3000],
+        ["map-apply", "compose(id," * 1500 + "id" + ")" * 1500, "1/2"],
     ],
 )
 def test_contract_errors_exit_2_with_one_error_document(capsys, argv):
@@ -175,3 +177,19 @@ def test_contract_errors_exit_2_with_one_error_document(capsys, argv):
     out = capsys.readouterr().out
     assert code == 2
     assert out.count("\n") == 1 and set(json.loads(out)) == {"error"}
+
+
+def test_zero_denominator_error_names_the_text(capsys):
+    for argv in (["real-eval", "1/0"], ["map-apply", "add(1/0)", "1"],
+                 ["map-apply", "id", "1/0"]):
+        code, payload = run_cli(capsys, *argv)
+        assert code == 2
+        assert payload == {"error": "zero denominator in '1/0'"}
+
+
+def test_depth_200_expressions_still_evaluate(capsys):
+    code, payload = run_cli(capsys, "real-eval", "neg(" * 200 + "1/3" + ")" * 200)
+    assert (code, payload) == (0, {"value": "1/3 ± 2^-30"})
+    code, payload = run_cli(
+        capsys, "map-apply", "compose(neg," * 200 + "id" + ")" * 200, "1/3")
+    assert code == 0 and payload["value"] == "1/3 ± 2^-30"
