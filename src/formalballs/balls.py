@@ -30,10 +30,20 @@ class FormalBall:
 
 @dataclass(frozen=True)
 class BallOpen:
-    """Finite union of formal balls over one carrier; empty list = empty open."""
+    """Finite union of formal balls over one carrier; empty list = empty open.
+
+    Every center must be an element of the carrier (``carrier.contains``),
+    so no center is silently reinterpreted, e.g. -2 as a negative index.
+    """
 
     carrier: MetricCarrier
     balls: tuple[FormalBall, ...]
+
+    def __post_init__(self):
+        contains = self.carrier.contains
+        for b in self.balls:
+            if not contains(b.center):
+                raise ValueError(f"{b.center!r} is not a carrier element")
 
     @staticmethod
     def of(carrier: MetricCarrier, *balls: FormalBall) -> "BallOpen":
@@ -156,10 +166,11 @@ def meet_witness(u: BallOpen, v: BallOpen, effort: int) -> Optional[FormalBall]:
             slack = best if slack is None else min(slack, best)
         if slack is not None and slack > 0:
             w = FormalBall(c, slack / 4)
+            wo = BallOpen.of(carrier, w)
             # witness must sit way inside both opens with a positive margin
             if (
-                way_inside(BallOpen.of(carrier, w), slack / 4, u, effort).is_yes
-                and way_inside(BallOpen.of(carrier, w), slack / 4, v, effort).is_yes
+                way_inside(wo, slack / 4, u, effort).is_yes
+                and way_inside(wo, slack / 4, v, effort).is_yes
             ):
                 return w
     return None

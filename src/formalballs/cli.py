@@ -360,8 +360,15 @@ def _cmd_law_suite(args):
     return (0 if report["result"] == "Pass" else 1), report
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise ParseFailure (exit 2)."""
+
+    def error(self, message):
+        raise ParseFailure(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument("--precision", type=int, default=30,
                         help="readout precision in bits (default 30)")
     common.add_argument("--effort", type=int, default=64,
@@ -371,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--output", default=None, help="write JSON to this path")
     common.add_argument("--pretty", action="store_true",
                         help="indent the JSON output")
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="formalballs",
         description="Exact formal-ball calculus: evaluation, checks, law suite.",
     )
@@ -417,17 +424,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.precision < 1 or args.effort < 1:
-        print(json.dumps({"error": "precision and effort must be >= 1"}))
-        return 2
     try:
+        args = build_parser().parse_args(argv)
+        if args.precision < 1 or args.effort < 1:
+            raise ParseFailure("precision and effort must be >= 1")
         code, payload = args.handler(args)
     except RecursionError:
         print(json.dumps({"error": "expression nested too deeply"}))
         return 2
-    except (ParseFailure, KeyError, ValueError, IndexError, ArithmeticError) as exc:
+    except (ParseFailure, KeyError, ValueError, IndexError, ArithmeticError,
+            TypeError, AttributeError) as exc:  # the last two: ill-shaped JSON
         out = json.dumps({"error": str(exc)}, sort_keys=True)
         print(out)
         return 2

@@ -7,7 +7,6 @@ Cauchy filters by finite generator lists and support regularization.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
@@ -29,21 +28,20 @@ class CertificateError(ValueError):
 class CompletionPoint:
     """A point given by a 2^-n-regular approximation sequence."""
 
-    __slots__ = ("carrier", "_fn", "_stages", "_lock")
+    __slots__ = ("carrier", "_fn", "_stages")
 
     def __init__(self, carrier: MetricCarrier, approx_fn: Callable[[int], object]):
         self.carrier = carrier
         self._fn = approx_fn
         self._stages: dict[int, object] = {}
-        self._lock = threading.Lock()
 
     def approx(self, n: int):
         if n < 0:
             raise ValueError("stage must be >= 0")
-        with self._lock:
-            if n not in self._stages:
-                self._stages[n] = self._fn(n)
-            return self._stages[n]
+        stages = self._stages
+        if n not in stages:
+            stages[n] = self._fn(n)
+        return stages[n]
 
     def to_json(self, depth: int):
         return {

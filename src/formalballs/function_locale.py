@@ -36,19 +36,21 @@ class PairProp:
     v: BallOpen
 
 
-def holds(pp: PairProp, f: MapRep, effort: int) -> Query:
+def holds(pp: PairProp, f: MapRep, effort: int, images=None) -> Query:
     """Semi-decide the proposition against the map.
 
     Yes iff the image of some center of u is provably a member of v at
     this effort; sound for positivity of the pulled-back overlap.
+    ``images``, if given, is a dict from probe to its image point under f,
+    read and filled in place so repeated probes are imaged once.
     """
-    if _holds_witness(pp.u, pp.v, f, effort) is None:
+    if _holds_witness(pp.u, pp.v, f, effort, images=images) is None:
         return Query.NOT_YET
     return Query.YES
 
 
 def _holds_witness(
-    u: BallOpen, v: BallOpen, f: MapRep, effort: int, extra_probes=()
+    u: BallOpen, v: BallOpen, f: MapRep, effort: int, extra_probes=(), images=None
 ):
     """A witnessing (ball of u, image point) for holds, or None.
 
@@ -66,7 +68,11 @@ def _holds_witness(
                 probes.append((b, x))
                 break
     for b, x in probes:
-        image = apply_map(f, point_of_carrier(f.source, x))
+        image = None if images is None else images.get(x)
+        if image is None:
+            image = apply_map(f, point_of_carrier(f.source, x))
+            if images is not None:
+                images[x] = image
         if member_query(image, v, effort).is_yes:
             return b, image
     return None
@@ -375,8 +381,16 @@ def round_trip(
     (a violation is reported and must never occur for a metric map).
     Coverage: fraction of probes with image in v that the reconstruction
     already captures at this effort.
+
+    The ``holds`` oracle shares one dict from grid center to image point
+    across the shrink levels, so each center is imaged once per call.  The
+    dict lives only for this call: it is never kept on the map, where
+    equal centers of different types (1 and Fraction(1)) would share one.
     """
-    tau = tau_from_point(lambda pp, e: holds(pp, f, e), f.source, v, effort)
+    images: dict = {}
+    tau = tau_from_point(
+        lambda pp, e: holds(pp, f, e, images=images), f.source, v, effort
+    )
     query_effort = max(32, min(effort, 64))
     violations = []
     covered = 0

@@ -9,7 +9,6 @@ conditional on the certificate.
 from __future__ import annotations
 
 import random
-import threading
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -48,37 +47,50 @@ class ModulusFn:
     non-decreasing in eps after every call, so a miss reads its bound off
     the next larger key and clamps smaller keys only until one is already
     at or below the new answer.
+
+    ``apply_map`` reads stage depths through ``_stage``, which memoises
+    n -> ``_stage_for(self, n)``.  Each memoised depth is a function of the
+    cached ``self(2^-(n+1))`` alone, and the memo is cleared whenever a call
+    clamps an existing cache entry, so a depth is reused exactly as long as
+    the cached value it came from stands.
     """
 
-    __slots__ = ("_raw", "_cache", "_keys", "_lock")
+    __slots__ = ("_raw", "_cache", "_keys", "_depths")
 
     def __init__(self, raw: Callable[[Fraction], Fraction]):
         self._raw = raw
         self._cache: dict[Fraction, Fraction] = {}
         self._keys: list[Fraction] = []  # the cache keys, ascending
-        self._lock = threading.Lock()
+        self._depths: dict[int, int] = {}  # n -> stage depth, see _stage
 
     def __call__(self, eps: Fraction) -> Fraction:
         eps = parse_rational(eps)
         if eps <= 0:
             raise ValueError("modulus argument must be positive")
-        with self._lock:
-            if eps in self._cache:
-                return self._cache[eps]
-            eta = parse_rational(self._raw(eps))
-            if eta <= 0:
-                raise ValueError("modulus must return a positive rational")
-            cache, keys = self._cache, self._keys
-            i = bisect_left(keys, eps)
-            if i < len(keys):
-                eta = min(eta, cache[keys[i]])
-            for j in range(i - 1, -1, -1):
-                if cache[keys[j]] <= eta:
-                    break
-                cache[keys[j]] = eta
-            keys.insert(i, eps)
-            cache[eps] = eta
-            return eta
+        cache = self._cache
+        if eps in cache:
+            return cache[eps]
+        eta = parse_rational(self._raw(eps))
+        if eta <= 0:
+            raise ValueError("modulus must return a positive rational")
+        keys = self._keys
+        i = bisect_left(keys, eps)
+        if i < len(keys):
+            eta = min(eta, cache[keys[i]])
+        for j in range(i - 1, -1, -1):
+            if cache[keys[j]] <= eta:
+                break
+            cache[keys[j]] = eta
+            self._depths.clear()
+        keys.insert(i, eps)
+        cache[eps] = eta
+        return eta
+
+    def _stage(self, n: int) -> int:
+        depths = self._depths
+        if n not in depths:
+            depths[n] = _stage_for(self, n)
+        return depths[n]
 
 
 @dataclass
@@ -100,7 +112,7 @@ class MapRep:
             self.modulus = ModulusFn(self.modulus)
 
 
-def _stage_for(modulus: ModulusFn, n: int) -> int:
+def _stage_for(modulus: Callable[[Fraction], Fraction], n: int) -> int:
     """Smallest m >= n + 1 with 2^(1-m) < modulus(2^-(n+1))."""
     return max(stage_below(modulus(half_pow(n + 1))), n) + 1
 
@@ -115,8 +127,7 @@ def apply_map(f: MapRep, p: CompletionPoint) -> CompletionPoint:
         raise ValueError("point is not over the map's source carrier")
 
     def approx(n):
-        m = _stage_for(f.modulus, n)
-        x = p.approx(m)
+        x = p.approx(f.modulus._stage(n))
         if f.region is not None and not f.region(x):
             raise RegionError(f"{x!r} outside the declared region of {f.label}")
         return f.carrier_map(x).approx(n + 1)

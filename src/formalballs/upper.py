@@ -8,7 +8,6 @@ answers are monotone in effort.
 from __future__ import annotations
 
 import enum
-import threading
 from fractions import Fraction
 from typing import Callable
 
@@ -35,34 +34,56 @@ class UpperReal:
     bound.  Monotonicity is enforced internally: the effective bound at
     effort e is the minimum of the raw bounds at efforts 0..e, so Yes
     answers can never be retracted at higher effort.
+
+    Each raw bound is computed at most once and kept in a per-instance
+    dict; ``_best`` holds the running minima built so far.  ``less_than``
+    answers from ``_best`` when the entry exists and otherwise searches the
+    raw bounds from its effort downward, stopping at the first one below
+    the threshold, so a Yes costs as few stages as the answer allows.
     """
 
-    __slots__ = ("_fn", "_best", "_lock")
+    __slots__ = ("_fn", "_raw", "_best")
 
     def __init__(self, bound_fn: Callable[[int], Bound]):
         self._fn = bound_fn
+        self._raw: dict[int, Bound] = {}
         self._best: list[Bound] = []
-        self._lock = threading.Lock()
+
+    def _raw_bound(self, e: int) -> Bound:
+        raw = self._raw
+        if e not in raw:
+            raw[e] = self._fn(e)
+        return raw[e]
 
     def bound(self, effort: int) -> Bound:
         if effort < 0:
             raise ValueError("effort must be >= 0")
-        with self._lock:
-            while len(self._best) <= effort:
-                e = len(self._best)
-                raw = self._fn(e)
-                if e == 0:
-                    self._best.append(raw)
-                else:
-                    self._best.append(bmin(self._best[-1], raw))
-            return self._best[effort]
+        best = self._best
+        while len(best) <= effort:
+            e = len(best)
+            raw = self._raw_bound(e)
+            best.append(raw if e == 0 else bmin(best[-1], raw))
+        return best[effort]
 
     def less_than(self, q: Fraction, effort: int) -> Query:
-        """Semi-decide "value < q" for positive rational q."""
+        """Semi-decide "value < q" for positive rational q.
+
+        Yes iff some raw bound at effort k <= effort is below q, which is
+        the same predicate as ``bound(effort) < q``.
+        """
         if q <= 0:
             raise ValueError("threshold must be a positive rational")
-        if self.bound(effort) < q:
+        if effort < 0:
+            raise ValueError("effort must be >= 0")
+        built = len(self._best)
+        if effort < built:
+            return Query.YES if self._best[effort] < q else Query.NOT_YET
+        for k in range(effort, built - 1, -1):
+            if self._raw_bound(k) < q:
+                return Query.YES
+        if built and self._best[built - 1] < q:
             return Query.YES
+        self.bound(effort)  # every raw bound up to effort is known: keep the minima
         return Query.NOT_YET
 
     # -- constructors ------------------------------------------------------

@@ -12,7 +12,7 @@ from formalballs.balls import (
     neighborhood,
     way_inside,
 )
-from formalballs.carriers import finite_space, rational_line
+from formalballs.carriers import finite_space, product_space, rational_line
 
 LINE = rational_line()
 
@@ -109,3 +109,17 @@ def test_mixed_carriers_rejected():
     u = BallOpen.of(sp, FormalBall(0, Fraction(1)))
     with pytest.raises(ValueError):
         way_inside(u, Fraction(1, 2), bo((0, 1)), 4)
+
+
+@pytest.mark.parametrize(
+    "carrier, center",
+    [
+        (finite_space(2, [[0, 1], [1, 0]]), -2),  # not read as index 0
+        (finite_space(2, [[0, 1], [1, 0]]), 2),
+        (product_space(LINE, LINE), Fraction(1)),  # not a pair
+        (LINE, "1/2"),
+    ],
+)
+def test_ball_open_rejects_non_carrier_centers(carrier, center):
+    with pytest.raises(ValueError, match="not a carrier element"):
+        BallOpen.of(carrier, FormalBall(center, Fraction(1)))

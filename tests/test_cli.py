@@ -1,6 +1,11 @@
+import contextlib
+import io
 import json
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from formalballs.cli import ParseFailure, main, parse_map_expr, parse_real_expr
 
@@ -193,3 +198,70 @@ def test_depth_200_expressions_still_evaluate(capsys):
     code, payload = run_cli(
         capsys, "map-apply", "compose(neg," * 200 + "id" + ")" * 200, "1/3")
     assert code == 0 and payload["value"] == "1/3 ± 2^-30"
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-4, 9) | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+PAYLOAD_KEYS = ("check", "u", "v", "eps", "point", "carrier", "map", "axiom",
+                "parts", "n", "lowers", "uppers", "c", "r", "type", "d")
+payload_texts = st.one_of(
+    st.text(max_size=24),
+    json_values.map(json.dumps),
+    st.dictionaries(st.sampled_from(PAYLOAD_KEYS), json_values, max_size=4).map(json.dumps),
+)
+flag_lists = st.lists(
+    st.one_of(
+        st.just(["--pretty"]),
+        st.tuples(st.sampled_from(["--precision", "--effort", "--seed"]),
+                  st.integers(-2, 40).map(str)).map(list),
+    ),
+    max_size=2,
+).map(lambda groups: [token for group in groups for token in group])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(["real-eval", "map-apply", "ball-check", "mm-check",
+                     "admissible", "spec"]),
+    st.lists(payload_texts, min_size=1, max_size=2),
+    flag_lists,
+)
+def test_cli_contract_holds_for_any_input(command, texts, flags):
+    """Exit code 0, 1 or 2, exactly one JSON document, nothing on stderr.
+
+    The one exception is an explicit help flag (a text such as "-h"), for
+    which argparse prints its usage text and exits 0.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO("")), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main([command, *flags, *texts])
+        except SystemExit as exc:
+            assert exc.code == 0 and out.getvalue().startswith("usage:")
+            assert any(t.startswith("-") for t in texts)
+            return
+    assert code in (0, 1, 2)
+    assert err.getvalue() == ""
+    assert out.getvalue().endswith("\n")
+    json.loads(out.getvalue())  # raises on no document or on a second one
+
+
+def test_usage_errors_exit_2_with_one_error_document(capsys):
+    for argv in (["real-eval"], ["real-eval", "1", "--precision", "x"],
+                 ["frobnicate"], ["map-apply", "id", "1", "--bogus"]):
+        code, payload = run_cli(capsys, *argv)
+        assert code == 2 and set(payload) == {"error"}
+    assert capsys.readouterr().err == ""
+
+
+def test_center_outside_carrier_message_is_unchanged(capsys):
+    code, payload = run_cli(capsys, "ball-check", json.dumps({
+        "check": "member", "carrier": TWO_POINTS,
+        "u": [{"c": "-2", "r": "1"}], "point": "0",
+    }))
+    assert (code, payload) == (2, {"error": "ball center '-2' is not a point of the carrier"})

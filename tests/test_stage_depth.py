@@ -2,7 +2,8 @@
 
 ``stage_below`` and ``maps._stage_for`` read stage depths off bit lengths,
 and ``ModulusFn`` bisects its ascending key list.  Each is compared here
-with the plain loop that defines it.
+with the plain loop that defines it.  The stage-depth memo ``apply_map``
+reads through ``ModulusFn._stage`` is compared with ``_stage_for`` itself.
 """
 
 from fractions import Fraction
@@ -11,7 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from formalballs.maps import ModulusFn, _stage_for
+from formalballs.carriers import rational_line
+from formalballs.completion import CompletionPoint, point_of_carrier
+from formalballs.maps import MapRep, ModulusFn, _stage_for, apply_map
 from formalballs.numbers import half_pow, parse_rational, stage_below
 
 
@@ -126,3 +129,34 @@ def test_modulus_fn_keeps_history_dependence():
     assert m(Fraction(1, 8)) == Fraction(1, 8)
     assert m(Fraction(1, 2)) == Fraction(1, 200)
     assert m(Fraction(1, 8)) == Fraction(1, 200)
+
+
+LINE = rational_line()
+
+
+def _depth_probe(modulus):
+    """A map whose image stage n is the source stage depth apply_map chose."""
+    return MapRep(LINE, LINE, lambda x: point_of_carrier(LINE, x), modulus)
+
+
+query_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("depth"), st.integers(0, 14)),
+        st.tuples(st.just("eps"), st.builds(Fraction, st.integers(1, 40), st.integers(1, 40))),
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from((_step, _scrambled)), query_ops)
+def test_memoised_stage_depth_matches_pure_stage_for(raw, ops):
+    memo, twin = ModulusFn(raw), ModulusFn(raw)
+    f = _depth_probe(memo)
+    source = CompletionPoint(LINE, lambda m: Fraction(m))
+    for kind, arg in ops:
+        if kind == "eps":  # a direct query may clamp earlier cache entries
+            assert memo(arg) == twin(arg)
+        else:
+            assert apply_map(f, source).approx(arg) == _stage_for(twin, arg)
+    assert memo._cache == twin._cache
