@@ -72,6 +72,11 @@ def diameter_upper(u: BallOpen) -> UpperReal:
 
     Bound at effort e: max over ball pairs of dist_hi(ci,cj)(e) + ri + rj
     and over single balls of 2 ri.  The empty open has diameter 0.
+
+    When every center distance is exact at effort 0 (lo == hi, as on the
+    primitive carriers), the bound is the same at every effort: distance
+    intervals are nested, so no later interval can differ.  The result is
+    then the constant upper real of that bound.
     """
     if not u.balls:
         return UpperReal.of_rational(Fraction(0))
@@ -80,14 +85,19 @@ def diameter_upper(u: BallOpen) -> UpperReal:
 
     def bound(effort):
         best = Fraction(0)
+        exact = True
         for i, bi in enumerate(balls):
             best = max(best, 2 * bi.radius)
             for bj in balls[i + 1 :]:
-                d = carrier.dist(bi.center, bj.center, effort).hi
-                best = max(best, d + bi.radius + bj.radius)
-        return best
+                d = carrier.dist(bi.center, bj.center, effort)
+                exact = exact and d.lo == d.hi
+                best = max(best, d.hi + bi.radius + bj.radius)
+        return best, exact
 
-    return UpperReal(bound)
+    first, exact = bound(0)
+    if exact:
+        return UpperReal.of_rational(first)
+    return UpperReal(lambda effort: bound(effort)[0])
 
 
 def way_inside(u: BallOpen, eps: Fraction, v: BallOpen, effort: int) -> Query:

@@ -423,9 +423,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSERS: dict = {}  # build function -> the parser it built
+
+
+def _parser() -> argparse.ArgumentParser:
+    """The parser of the current ``build_parser``, built once per process.
+
+    Keyed by the build function, so a ``build_parser`` replaced at module
+    level (a tracer's wrapper, say) gets a parser of its own.
+    """
+    parser = _PARSERS.get(build_parser)
+    if parser is None:
+        parser = _PARSERS[build_parser] = build_parser()
+    return parser
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         if args.precision < 1 or args.effort < 1:
             raise ParseFailure("precision and effort must be >= 1")
         code, payload = args.handler(args)

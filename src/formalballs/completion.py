@@ -25,15 +25,38 @@ class CertificateError(ValueError):
         self.witness = witness
 
 
+_NEVER = (False,)
+_ALWAYS = (True,)
+
+
 class CompletionPoint:
-    """A point given by a 2^-n-regular approximation sequence."""
+    """A point given by a 2^-n-regular approximation sequence.
 
-    __slots__ = ("carrier", "_fn", "_stages")
+    ``constant`` is a one-element cell whose entry says that every stage is
+    the same carrier element.  ``point_of_carrier`` passes a cell that is
+    always set; ``apply_map`` and ``pair_point`` pass a list their stage
+    function sets once its first stage shows the point is constant.  The
+    stage function holds the cell, not the point, so no reference cycle
+    forms.
+    """
 
-    def __init__(self, carrier: MetricCarrier, approx_fn: Callable[[int], object]):
+    __slots__ = ("carrier", "_fn", "_stages", "_constant")
+
+    def __init__(
+        self,
+        carrier: MetricCarrier,
+        approx_fn: Callable[[int], object],
+        constant=_NEVER,
+    ):
         self.carrier = carrier
         self._fn = approx_fn
         self._stages: dict[int, object] = {}
+        self._constant = constant
+
+    @property
+    def is_constant(self) -> bool:
+        """Every stage is the same carrier element (known after one stage)."""
+        return self._constant[0]
 
     def approx(self, n: int):
         if n < 0:
@@ -55,7 +78,7 @@ def point_of_carrier(carrier: MetricCarrier, x) -> CompletionPoint:
     """The image of a carrier element: a constant approximation sequence."""
     if not carrier.contains(x):
         raise ValueError(f"{x!r} is not a carrier element")
-    return CompletionPoint(carrier, lambda _n: x)
+    return CompletionPoint(carrier, lambda _n: x, _ALWAYS)
 
 
 def member_query(p: CompletionPoint, u: BallOpen, effort: int) -> Query:
@@ -63,6 +86,10 @@ def member_query(p: CompletionPoint, u: BallOpen, effort: int) -> Query:
 
     Yes iff some stage ball b(x_n, 2^-n), n <= effort, sits strictly inside
     a ball of u.  Boundary points answer NotYet forever.
+
+    A constant point is decided by stage ``effort`` alone: its distance to
+    each center is the same at every n, and the radius 2^-n is smallest at
+    n = effort, so no earlier stage can succeed where that one fails.
     """
     if p.carrier.kind != u.carrier.kind:
         raise ValueError("point and open live over different carriers")
@@ -77,6 +104,8 @@ def member_query(p: CompletionPoint, u: BallOpen, effort: int) -> Query:
             # strict slack leaves room for a positive way-inside margin
             if d + r < b.radius:
                 return Query.YES
+        if p.is_constant:  # read after a stage, when an image knows its flag
+            break
     return Query.NOT_YET
 
 
@@ -110,7 +139,15 @@ def apartness_query(
 def pair_point(p: CompletionPoint, q: CompletionPoint) -> CompletionPoint:
     """Componentwise point of the max-metric product of the two carriers."""
     prod = product_space(p.carrier, q.carrier)
-    return CompletionPoint(prod, lambda n: (p.approx(n), q.approx(n)))
+    constant = [False]
+
+    def approx(n):
+        stage = (p.approx(n), q.approx(n))
+        if p.is_constant and q.is_constant:
+            constant[0] = True
+        return stage
+
+    return CompletionPoint(prod, approx, constant)
 
 
 def proj_point(r: CompletionPoint, side: int) -> CompletionPoint:

@@ -227,7 +227,10 @@ def _check_mm4(d, f, effort):
     _b, image = wit
     carrier = d["v"].carrier
     best = None  # (slack, stage, stage center)
-    for n in range(min(effort, 24) + 1):
+    top = min(effort, 24)
+    # a constant image's slack rises strictly with n, so its best is at top
+    # (the witness search computed a stage, so the image knows its flag)
+    for n in (top,) if image.is_constant else range(top + 1):
         z = image.approx(n)
         for bv in d["v"].balls:
             slack = bv.radius - carrier.dist(z, bv.center, effort).hi - half_pow(n)
@@ -323,6 +326,11 @@ def _grid_centers(carrier: MetricCarrier, v: BallOpen, step: Fraction, span: int
     if carrier.kind == ("line",):
         k_max = int(Fraction(span) / step)
         return [k * step for k in range(-k_max, k_max + 1)]
+    if carrier.components is not None:
+        left, right = (_grid_centers(c, v, step, span) for c in carrier.components)
+        return [(a, b) for a in left for b in right]
+    if carrier.kind != v.carrier.kind:
+        raise ValueError(f"no reconstruction grid for source kind {carrier.kind!r}")
     # fallback: centers of the target balls and their pairwise midpoints
     centers = [b.center for b in v.balls]
     if carrier.midpoint is not None:

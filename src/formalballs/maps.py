@@ -121,18 +121,25 @@ def apply_map(f: MapRep, p: CompletionPoint) -> CompletionPoint:
     """Push a completion point through the map.
 
     Stage n of the image is stage n+1 of the image of a source stage deep
-    enough that the modulus guarantees 2^-n accuracy.
+    enough that the modulus guarantees 2^-n accuracy.  The image is
+    constant when p is and the carrier map sends p's element to a constant
+    point; each stage records this on the image's cell.
     """
     if f.source.kind != p.carrier.kind:
         raise ValueError("point is not over the map's source carrier")
+    constant = [False]
 
     def approx(n):
         x = p.approx(f.modulus._stage(n))
         if f.region is not None and not f.region(x):
             raise RegionError(f"{x!r} outside the declared region of {f.label}")
-        return f.carrier_map(x).approx(n + 1)
+        q = f.carrier_map(x)
+        stage = q.approx(n + 1)
+        if p.is_constant and q.is_constant:
+            constant[0] = True
+        return stage
 
-    return CompletionPoint(f.target, approx)
+    return CompletionPoint(f.target, approx, constant)
 
 
 def identity_map(carrier: MetricCarrier) -> MapRep:

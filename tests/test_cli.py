@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from formalballs import cli
 from formalballs.cli import ParseFailure, main, parse_map_expr, parse_real_expr
 
 
@@ -265,3 +266,30 @@ def test_center_outside_carrier_message_is_unchanged(capsys):
         "u": [{"c": "-2", "r": "1"}], "point": "0",
     }))
     assert (code, payload) == (2, {"error": "ball center '-2' is not a point of the carrier"})
+
+
+def test_reused_parser_answers_as_a_fresh_one(capsys):
+    requests = (
+        ["real-eval", "1/3", "--precision", "x"],  # usage error
+        ["real-eval", "1/0"],  # contract error
+        ["real-eval", "1/3", "--precision", "8", "--pretty"],
+        ["real-eval", "1/3"],  # flags of the last request must not stick
+    )
+
+    def answers():
+        out = []
+        for argv in requests:
+            code = main(list(argv))
+            out.append((code, capsys.readouterr()))
+        return out
+
+    with mock.patch.object(cli, "_parser", cli.build_parser):
+        fresh = answers()
+    build = mock.Mock(wraps=cli.build_parser)
+    with mock.patch.object(cli, "_PARSERS", {}), \
+            mock.patch.object(cli, "build_parser", build):
+        assert answers() == fresh
+        assert answers() == fresh
+    assert build.call_count == 1
+    assert [code for code, _ in fresh] == [2, 2, 0, 0]
+    assert json.loads(fresh[3][1].out) == {"value": "1/3 ± 2^-30"}

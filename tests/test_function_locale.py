@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from formalballs.balls import BallOpen, FormalBall
-from formalballs.carriers import rational_line
+from formalballs.carriers import gaussian_rationals, product_space, rational_line
 from formalballs.completion import member_query, point_of_carrier
 from formalballs.function_locale import (
     MMInstance,
@@ -14,7 +14,7 @@ from formalballs.function_locale import (
     tau_from_point,
     validate_instance,
 )
-from formalballs.maps import identity_map, line_map
+from formalballs.maps import MapRep, identity_map, line_map, proj_map
 from formalballs.upper import Query
 
 LINE = rational_line()
@@ -181,3 +181,21 @@ def test_round_trip_examples():
     shifted = line_map(1, 10)
     rep = round_trip(shifted, bo((0, 1)), [point_of_carrier(LINE, Fraction(0))], 64)
     assert rep["sound"] and rep["total_in_v"] == 0
+
+
+def test_round_trip_of_a_product_source():
+    probe = point_of_carrier(product_space(LINE, LINE), (0, 0))
+    rep = round_trip(proj_map(LINE, LINE, 1), bo((0, 8)), [probe], 16)
+    assert rep["sound"] is True
+    assert rep["covered"] == rep["total_in_v"] == 1
+
+
+def test_round_trip_needs_a_grid_for_the_source():
+    re_part = MapRep(
+        source=gaussian_rationals(),
+        target=LINE,
+        carrier_map=lambda z: point_of_carrier(LINE, z[0]),
+        modulus=lambda eps: eps,
+    )
+    with pytest.raises(ValueError, match="gaussian"):
+        round_trip(re_part, bo((0, 8)), [], 16)
