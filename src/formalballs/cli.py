@@ -2,13 +2,15 @@
 
 All output is JSON on stdout (deterministic for fixed flags and seed);
 exit code 0 for values and passing checks, 1 for a failing check, 2 for
-parse or contract errors.
+parse or contract errors, and 2 when stdout is closed before the document
+is written.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -237,6 +239,20 @@ def _open_from_json(carrier, balls) -> BallOpen:
     )
 
 
+# Largest space sizes accepted: ``spec`` costs grow as n^3 (n = 32 takes about
+# 3 s), ``admissible`` prints one value per point (n = 10000 takes about 0.05 s).
+ADMISSIBLE_MAX_N = 10_000
+SPEC_MAX_N = 32
+
+
+def _space_size(payload, limit: int) -> int:
+    """The payload's "n": a JSON integer, not a bool, from 1 to limit."""
+    n = payload["n"]
+    if isinstance(n, bool) or not isinstance(n, int) or not 1 <= n <= limit:
+        raise ParseFailure(f'"n" must be an integer from 1 to {limit}')
+    return n
+
+
 def _value_with_error(value: Fraction, bits: int) -> str:
     return f"{decimal_str(value)} ± 2^-{bits}"
 
@@ -317,7 +333,7 @@ def _cmd_mm_check(args):
 
 def _cmd_admissible(args):
     payload = _load_payload(args)
-    space = FiniteDiscreteSpace(int(payload["n"]))
+    space = FiniteDiscreteSpace(_space_size(payload, ADMISSIBLE_MAX_N))
 
     def side(name):
         return [
@@ -336,7 +352,7 @@ def _cmd_admissible(args):
 
 def _cmd_spec(args):
     payload = _load_payload(args)
-    n = int(payload["n"])
+    n = _space_size(payload, SPEC_MAX_N)
     chars = spectrum_of_cn(n)
     from .gelfand import AlgebraElement
 
@@ -346,7 +362,9 @@ def _cmd_spec(args):
             AlgebraElement.of_rationals([(j, 1) for j in range(n)]),
         )
     ]
-    reports = [verify_character(chi, samples, bound=8, k=16) for chi in chars]
+    # the sample coordinates reach n - 1; the factor bound must cover them
+    bound = max(8, n)
+    reports = [verify_character(chi, samples, bound=bound, k=16) for chi in chars]
     ok = all(r["result"] == "Pass" for r in reports)
     return (0 if ok else 1), {
         "n": n,
@@ -445,13 +463,10 @@ def main(argv=None) -> int:
             raise ParseFailure("precision and effort must be >= 1")
         code, payload = args.handler(args)
     except RecursionError:
-        print(json.dumps({"error": "expression nested too deeply"}))
-        return 2
+        return _emit(json.dumps({"error": "expression nested too deeply"}), 2)
     except (ParseFailure, KeyError, ValueError, IndexError, ArithmeticError,
             TypeError, AttributeError) as exc:  # the last two: ill-shaped JSON
-        out = json.dumps({"error": str(exc)}, sort_keys=True)
-        print(out)
-        return 2
+        return _emit(json.dumps({"error": str(exc)}, sort_keys=True), 2)
     if args.pretty:
         text = json.dumps(payload, sort_keys=True, indent=2)
     else:
@@ -459,7 +474,23 @@ def main(argv=None) -> int:
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(text + "\n")
-    print(text)
+    return _emit(text, code)
+
+
+def _emit(text: str, code: int) -> int:
+    """Print the one JSON document and return ``code``, or 2 if stdout is closed.
+
+    A reader that quits early (``formalballs spec ... | head -c 50``) closes
+    the pipe.  As in Python's documented SIGPIPE recipe, stdout is then
+    pointed at devnull, so the interpreter's final flush cannot raise again.
+    """
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 2
     return code
 
 

@@ -4,7 +4,19 @@ A real point wraps a completion point over the rational line; stage n is
 an exact rational within 2^-n of the value.  Arithmetic is implemented as
 stage arithmetic with explicit accuracy bookkeeping; multiplication needs
 a caller-supplied integer bound on both factors, certified at build time
-and re-checked at every evaluation.
+and re-checked at every evaluation of a product that is not folded.
+
+Constants are folded: when every operand's underlying point is flagged
+constant, an operator returns the constant point of its exact result
+instead of a stage function.  This is exact, not an approximation: on
+constant operands c1, c2 each operator's stage function yields
+op(c1, c2) at every stage, whatever extra depth it reads its operands
+at, so the folded point has the same stages.  Operands that are not
+flagged, an ``apply_map`` image whose flag is still unset included, keep
+the stage function, so folding never evaluates a stage to learn a flag.
+The flag is read as ``underlying._constant[0]``, a plain attribute read
+rather than the ``is_constant`` property, because every operator of every
+expression reads it.
 """
 
 from __future__ import annotations
@@ -60,35 +72,74 @@ def complex_of_rational(re, im=0) -> ComplexPoint:
     return ComplexPoint(real_of_rational(re), real_of_rational(im))
 
 
+def _folded(value) -> RealPoint:
+    """The constant point of an exact result of constant operands."""
+    return RealPoint(point_of_carrier(LINE, value))
+
+
+def _value(p: RealPoint):
+    """The value of a point flagged constant, read at a stage it already holds.
+
+    Every stage of such a point is the same element.  A point flagged by its
+    own stage function holds the stage that set the flag, so reading it
+    evaluates nothing new; a ``point_of_carrier`` point reads stage 0.
+    """
+    u = p.underlying
+    return u.approx(next(iter(u._stages), 0))
+
+
 def add_r(p: RealPoint, q: RealPoint) -> RealPoint:
+    if p.underlying._constant[0] and q.underlying._constant[0]:
+        return _folded(_value(p) + _value(q))
     # operand stages n+2: the two 2^-(n+2) errors sum below 2^-n
     return _real(lambda n: p.approx(n + 2) + q.approx(n + 2))
 
 
 def neg_r(p: RealPoint) -> RealPoint:
+    if p.underlying._constant[0]:
+        return _folded(-_value(p))
     return _real(lambda n: -p.approx(n))
 
 
 def sub_r(p: RealPoint, q: RealPoint) -> RealPoint:
+    if p.underlying._constant[0] and q.underlying._constant[0]:
+        return _folded(_value(p) - _value(q))
     return _real(lambda n: p.approx(n + 2) - q.approx(n + 2))
 
 
 def abs_r(p: RealPoint) -> RealPoint:
+    if p.underlying._constant[0]:
+        return _folded(abs(_value(p)))
     return _real(lambda n: abs(p.approx(n)))
 
 
 def max_r(p: RealPoint, q: RealPoint) -> RealPoint:
+    if p.underlying._constant[0] and q.underlying._constant[0]:
+        return _folded(max(_value(p), _value(q)))
     return _real(lambda n: max(p.approx(n), q.approx(n)))
 
 
 def min_r(p: RealPoint, q: RealPoint) -> RealPoint:
+    if p.underlying._constant[0] and q.underlying._constant[0]:
+        return _folded(min(_value(p), _value(q)))
     return _real(lambda n: min(p.approx(n), q.approx(n)))
 
 
 def _certify_bound(p: RealPoint, bound: int) -> None:
-    for m in (4, 8, 16):
-        if abs(p.approx(m)) + half_pow(m) <= bound:
+    """Raise unless |stage m| + 2^-m <= bound at one of m = 4, 8, 16.
+
+    For a constant c every stage is c and 2^-m is smallest at m = 16, so
+    the rule is |c| + 2^-16 <= bound, checked here in integers.
+    """
+    if p.underlying._constant[0]:
+        c = _value(p)
+        den = c.denominator
+        if (abs(c.numerator) << 16) + den <= (bound * den) << 16:
             return
+    else:
+        for m in (4, 8, 16):
+            if abs(p.approx(m)) + half_pow(m) <= bound:
+                return
     raise BoundViolation(f"could not certify |value| <= {bound}")
 
 
@@ -97,11 +148,19 @@ def mul_r(p: RealPoint, q: RealPoint, bound: int) -> RealPoint:
 
     Stage n reads both factors k extra bits deep, k the bit length of
     2*bound + 2, so the product error stays below 2^-(n+1).
+
+    The bound check and both certifications run first, so every error is
+    raised as for any other factors.  Then two constant factors fold to the
+    constant point of their product: each stage would be c1 * c2, and the
+    per-stage ``BoundViolation`` check cannot fire, because a certified
+    constant has |c| + 2^-16 <= bound.
     """
     if bound < 1:
         raise ValueError("multiplication bound must be a positive integer")
     _certify_bound(p, bound)
     _certify_bound(q, bound)
+    if p.underlying._constant[0] and q.underlying._constant[0]:
+        return _folded(_value(p) * _value(q))
     k = (2 * bound + 2).bit_length()
 
     def stage(n):
@@ -122,6 +181,8 @@ def scale_r(p: RealPoint, c) -> RealPoint:
     c = parse_rational(c)
     if c == 0:
         return real_of_rational(0)
+    if p.underlying._constant[0]:
+        return _folded(c * _value(p))
     k = max(1, abs(c).__ceil__()).bit_length()
     return _real(lambda n: c * p.approx(n + k))
 

@@ -40,14 +40,20 @@ class UpperReal:
     answers from ``_best`` when the entry exists and otherwise searches the
     raw bounds from its effort downward, stopping at the first one below
     the threshold, so a Yes costs as few stages as the answer allows.
+
+    ``_value`` is the rational of an upper real made by ``of_rational``
+    (None otherwise).  Its raw bound is that value at every effort, so
+    every running minimum is the value too, and ``bound`` and ``less_than``
+    answer from it without evaluating a raw bound.
     """
 
-    __slots__ = ("_fn", "_raw", "_best")
+    __slots__ = ("_fn", "_raw", "_best", "_value")
 
     def __init__(self, bound_fn: Callable[[int], Bound]):
         self._fn = bound_fn
         self._raw: dict[int, Bound] = {}
         self._best: list[Bound] = []
+        self._value = None
 
     def _raw_bound(self, e: int) -> Bound:
         raw = self._raw
@@ -58,6 +64,8 @@ class UpperReal:
     def bound(self, effort: int) -> Bound:
         if effort < 0:
             raise ValueError("effort must be >= 0")
+        if self._value is not None:
+            return self._value
         best = self._best
         while len(best) <= effort:
             e = len(best)
@@ -75,6 +83,8 @@ class UpperReal:
             raise ValueError("threshold must be a positive rational")
         if effort < 0:
             raise ValueError("effort must be >= 0")
+        if self._value is not None:
+            return Query.YES if self._value < q else Query.NOT_YET
         built = len(self._best)
         if effort < built:
             return Query.YES if self._best[effort] < q else Query.NOT_YET
@@ -92,7 +102,9 @@ class UpperReal:
     def of_rational(q: Fraction) -> "UpperReal":
         if q < 0:
             raise ValueError("upper real of a negative rational")
-        return UpperReal(lambda _e: q)
+        u = UpperReal(lambda _e: q)
+        u._value = q
+        return u
 
     @staticmethod
     def infinite() -> "UpperReal":

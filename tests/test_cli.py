@@ -1,6 +1,10 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -133,6 +137,55 @@ def test_spec_command(capsys):
     assert all(r["result"] == "Pass" for r in out["reports"])
 
 
+@pytest.mark.parametrize("n", [9, 12])
+def test_spec_bound_covers_the_samples(capsys, n):
+    code, out = run_cli(capsys, "spec", json.dumps({"n": n}))
+    assert code == 0
+    assert len(out["reports"]) == n
+    assert all(r["result"] == "Pass" for r in out["reports"])
+
+
+@pytest.mark.parametrize("command, limit", [("admissible", cli.ADMISSIBLE_MAX_N),
+                                            ("spec", cli.SPEC_MAX_N)])
+@pytest.mark.parametrize("n", ["2.9", "5.0", "true", "false", '"3"', "null", "[3]",
+                               "0", "-1", "LIMIT + 1", "10000000"])
+def test_space_size_must_be_an_integer_in_range(capsys, command, limit, n):
+    n = str(limit + 1) if n == "LIMIT + 1" else n
+    code, out = run_cli(capsys, command, '{"n": %s}' % n)
+    assert (code, out) == (2, {"error": f'"n" must be an integer from 1 to {limit}'})
+
+
+def test_admissible_accepts_its_largest_space(capsys):
+    n = cli.ADMISSIBLE_MAX_N
+    code, out = run_cli(capsys, "admissible", json.dumps({"n": n}))
+    assert code == 0 and len(out["point"]) == n
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_closed_stdout_ends_without_a_traceback(unbuffered):
+    """A reader that quits early, as in ``formalballs spec ... | head -c 50``.
+
+    The read end is closed before the command starts, so its first write
+    meets a broken pipe whatever the timing.  Buffered, the write that fails
+    is the flush; unbuffered, it is the print.
+    """
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "formalballs.cli", "spec", '{"n": 5}'],
+            stdout=write_end, stderr=subprocess.PIPE, timeout=120, env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert done.stderr == b""
+    assert done.returncode == 2
+
+
 def test_law_suite_and_determinism(capsys, tmp_path):
     out1 = tmp_path / "a.json"
     out2 = tmp_path / "b.json"
@@ -208,11 +261,18 @@ json_values = st.recursive(
     max_leaves=8,
 )
 PAYLOAD_KEYS = ("check", "u", "v", "eps", "point", "carrier", "map", "axiom",
-                "parts", "n", "lowers", "uppers", "c", "r", "type", "d")
+                "parts", "lowers", "uppers", "c", "r", "type", "d")
+# "n" also past the space-size limits, and as floats and bools
+n_values = json_values | st.floats() | st.sampled_from(
+    [cli.SPEC_MAX_N + 1, cli.ADMISSIBLE_MAX_N + 1, 10_000_000, 2 ** 70])
+payload_objects = st.tuples(
+    st.dictionaries(st.sampled_from(PAYLOAD_KEYS), json_values, max_size=4),
+    st.dictionaries(st.just("n"), n_values, max_size=1),
+).map(lambda parts: {**parts[0], **parts[1]})
 payload_texts = st.one_of(
     st.text(max_size=24),
     json_values.map(json.dumps),
-    st.dictionaries(st.sampled_from(PAYLOAD_KEYS), json_values, max_size=4).map(json.dumps),
+    payload_objects.map(json.dumps),
 )
 flag_lists = st.lists(
     st.one_of(
