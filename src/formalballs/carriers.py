@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Callable, Optional
 
-from .numbers import Bound, bmax, parse_rational
+from .numbers import Bound, bmax, parse_int, parse_rational
 
 
 class MetricAxiomError(ValueError):
@@ -121,7 +121,7 @@ def finite_space(n: int, table) -> MetricCarrier:
 
 def finite_space_from_json(payload) -> MetricCarrier:
     """Ingest {"n": int, "d": [[..]]} with entries as "p/q" strings or numbers."""
-    return finite_space(int(payload["n"]), payload["d"])
+    return finite_space(parse_int(payload["n"]), payload["d"])
 
 
 def gaussian_rationals() -> MetricCarrier:

@@ -48,7 +48,7 @@ from .maps import (
     pair_maps,
     proj_map,
 )
-from .numbers import decimal_str, parse_rational, rational_str
+from .numbers import decimal_str, parse_int, parse_rational, rational_str
 from .reals import (
     abs_r,
     add_r,
@@ -226,9 +226,14 @@ def _carrier_from_json(payload):
     raise ParseFailure(f"unknown carrier type {kind!r}")
 
 
+def _element(carrier, x):
+    """A payload's carrier element: a rational on the line, else a point index."""
+    return parse_rational(x) if carrier.kind == ("line",) else parse_int(x)
+
+
 def _open_from_json(carrier, balls) -> BallOpen:
     def center(c):
-        x = parse_rational(c) if carrier.kind == ("line",) else int(c)
+        x = _element(carrier, c)
         if not carrier.contains(x):
             raise ParseFailure(f"ball center {c!r} is not a point of the carrier")
         return x
@@ -310,8 +315,7 @@ def _cmd_ball_check(args):
             found = {"c": repr(w.center), "r": rational_str(w.radius)}
         return 0, {"check": check, "witness": found}
     if check == "member":
-        p = point_of_carrier(carrier, parse_rational(payload["point"])
-                             if carrier.kind == ("line",) else int(payload["point"]))
+        p = point_of_carrier(carrier, _element(carrier, payload["point"]))
         ans = member_query(p, u, args.effort)
         return 0, {"check": check, "answer": ans.label}
     raise ParseFailure(f"unknown ball check {check!r}")
@@ -337,7 +341,7 @@ def _cmd_admissible(args):
 
     def side(name):
         return [
-            (frozenset(int(i) for i in s), parse_rational(q))
+            (frozenset(parse_int(i) for i in s), parse_rational(q))
             for s, q in payload.get(name, [])
         ]
 

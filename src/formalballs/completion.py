@@ -25,38 +25,29 @@ class CertificateError(ValueError):
         self.witness = witness
 
 
-_NEVER = (False,)
-_ALWAYS = (True,)
-
-
 class CompletionPoint:
     """A point given by a 2^-n-regular approximation sequence.
 
-    ``constant`` is a one-element cell whose entry says that every stage is
-    the same carrier element.  ``point_of_carrier`` passes a cell that is
-    always set; ``apply_map`` and ``pair_point`` pass a list their stage
-    function sets once its first stage shows the point is constant.  The
-    stage function holds the cell, not the point, so no reference cycle
-    forms.
+    ``value`` is the carrier element that every stage equals, for a point
+    known to be constant when it is built, and None otherwise; None is
+    never a carrier element.  ``point_of_carrier`` sets it, and so do
+    ``apply_map``, ``pair_point`` and ``proj_point`` on constant inputs.
     """
 
-    __slots__ = ("carrier", "_fn", "_stages", "_constant")
+    __slots__ = ("carrier", "_fn", "_stages", "_value")
 
     def __init__(
-        self,
-        carrier: MetricCarrier,
-        approx_fn: Callable[[int], object],
-        constant=_NEVER,
+        self, carrier: MetricCarrier, approx_fn: Callable[[int], object], value=None
     ):
         self.carrier = carrier
         self._fn = approx_fn
         self._stages: dict[int, object] = {}
-        self._constant = constant
+        self._value = value
 
     @property
     def is_constant(self) -> bool:
-        """Every stage is the same carrier element (known after one stage)."""
-        return self._constant[0]
+        """Every stage is the same carrier element, known at construction."""
+        return self._value is not None
 
     def approx(self, n: int):
         if n < 0:
@@ -78,7 +69,7 @@ def point_of_carrier(carrier: MetricCarrier, x) -> CompletionPoint:
     """The image of a carrier element: a constant approximation sequence."""
     if not carrier.contains(x):
         raise ValueError(f"{x!r} is not a carrier element")
-    return CompletionPoint(carrier, lambda _n: x, _ALWAYS)
+    return CompletionPoint(carrier, lambda _n: x, x)
 
 
 def member_query(p: CompletionPoint, u: BallOpen, effort: int) -> Query:
@@ -87,16 +78,17 @@ def member_query(p: CompletionPoint, u: BallOpen, effort: int) -> Query:
     Yes iff some stage ball b(x_n, 2^-n), n <= effort, sits strictly inside
     a ball of u.  Boundary points answer NotYet forever.
 
-    A constant point is decided by stage ``effort`` alone: its distance to
-    each center is the same at every n, and the radius 2^-n is smallest at
-    n = effort, so no earlier stage can succeed where that one fails.
+    A point built constant (``_value`` set) is decided by stage ``effort``
+    alone: its distance to each center is the same at every n, and the
+    radius 2^-n is smallest at n = effort, so no earlier stage can succeed
+    where that one fails.
     """
     if p.carrier.kind != u.carrier.kind:
         raise ValueError("point and open live over different carriers")
     if not u.balls:
         return Query.NOT_YET
     carrier = p.carrier
-    for n in range(effort, -1, -1):
+    for n in (effort,) if p._value is not None else range(effort, -1, -1):
         x = p.approx(n)
         r = half_pow(n)
         for b in u.balls:
@@ -104,8 +96,6 @@ def member_query(p: CompletionPoint, u: BallOpen, effort: int) -> Query:
             # strict slack leaves room for a positive way-inside margin
             if d + r < b.radius:
                 return Query.YES
-        if p.is_constant:  # read after a stage, when an image knows its flag
-            break
     return Query.NOT_YET
 
 
@@ -139,15 +129,9 @@ def apartness_query(
 def pair_point(p: CompletionPoint, q: CompletionPoint) -> CompletionPoint:
     """Componentwise point of the max-metric product of the two carriers."""
     prod = product_space(p.carrier, q.carrier)
-    constant = [False]
-
-    def approx(n):
-        stage = (p.approx(n), q.approx(n))
-        if p.is_constant and q.is_constant:
-            constant[0] = True
-        return stage
-
-    return CompletionPoint(prod, approx, constant)
+    if p._value is not None and q._value is not None:
+        return point_of_carrier(prod, (p._value, q._value))
+    return CompletionPoint(prod, lambda n: (p.approx(n), q.approx(n)))
 
 
 def proj_point(r: CompletionPoint, side: int) -> CompletionPoint:
@@ -157,6 +141,8 @@ def proj_point(r: CompletionPoint, side: int) -> CompletionPoint:
     if side not in (1, 2):
         raise ValueError("side must be 1 or 2")
     component = r.carrier.components[side - 1]
+    if r._value is not None:
+        return point_of_carrier(component, r._value[side - 1])
     return CompletionPoint(component, lambda n: r.approx(n)[side - 1])
 
 

@@ -229,7 +229,7 @@ def _check_mm4(d, f, effort):
     best = None  # (slack, stage, stage center)
     top = min(effort, 24)
     # a constant image's slack rises strictly with n, so its best is at top
-    # (the witness search computed a stage, so the image knows its flag)
+    # (apply_map flags the image of a constant when it builds it)
     for n in (top,) if image.is_constant else range(top + 1):
         z = image.approx(n)
         for bv in d["v"].balls:

@@ -291,15 +291,7 @@ def spectrum_of_cn(n: int):
     """The n coordinate projections, one per point of the underlying space."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return [
-        Character(
-            tuple(
-                complex_of_rational(1 if j == i else 0) for j in range(n)
-            ),
-            label=f"eval@{i}",
-        )
-        for i in range(n)
-    ]
+    return [Character(idempotent(n, i).values, label=f"eval@{i}") for i in range(n)]
 
 
 def _within(a, b, k: int, err: Fraction) -> bool:

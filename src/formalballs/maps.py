@@ -121,25 +121,31 @@ def apply_map(f: MapRep, p: CompletionPoint) -> CompletionPoint:
     """Push a completion point through the map.
 
     Stage n of the image is stage n+1 of the image of a source stage deep
-    enough that the modulus guarantees 2^-n accuracy.  The image is
-    constant when p is and the carrier map sends p's element to a constant
-    point; each stage records this on the image's cell.
+    enough that the modulus guarantees 2^-n accuracy.
+
+    A constant p has the element x at every stage, whatever the depth, and
+    the carrier map is a function of x, so its region is checked and its
+    carrier map called once, here: a constant result gives the constant
+    point of the target, and any other result q the stages q.approx(n+1).
     """
     if f.source.kind != p.carrier.kind:
         raise ValueError("point is not over the map's source carrier")
-    constant = [False]
+    if p._value is not None:
+        q = _carrier_image(f, p._value)
+        if q._value is not None:
+            return point_of_carrier(f.target, q._value)
+        return CompletionPoint(f.target, lambda n: q.approx(n + 1))
 
     def approx(n):
-        x = p.approx(f.modulus._stage(n))
-        if f.region is not None and not f.region(x):
-            raise RegionError(f"{x!r} outside the declared region of {f.label}")
-        q = f.carrier_map(x)
-        stage = q.approx(n + 1)
-        if p.is_constant and q.is_constant:
-            constant[0] = True
-        return stage
+        return _carrier_image(f, p.approx(f.modulus._stage(n))).approx(n + 1)
 
-    return CompletionPoint(f.target, approx, constant)
+    return CompletionPoint(f.target, approx)
+
+
+def _carrier_image(f: MapRep, x) -> CompletionPoint:
+    if f.region is not None and not f.region(x):
+        raise RegionError(f"{x!r} outside the declared region of {f.label}")
+    return f.carrier_map(x)
 
 
 def identity_map(carrier: MetricCarrier) -> MapRep:
@@ -147,7 +153,7 @@ def identity_map(carrier: MetricCarrier) -> MapRep:
         source=carrier,
         target=carrier,
         carrier_map=lambda x: point_of_carrier(carrier, x),
-        modulus=ModulusFn(lambda eps: eps),
+        modulus=lambda eps: eps,
         cls=ISOMETRIC,
         label="id",
     )
@@ -166,7 +172,7 @@ def compose_maps(g: MapRep, f: MapRep) -> MapRep:
         source=f.source,
         target=g.target,
         carrier_map=carrier_map,
-        modulus=ModulusFn(lambda eps: f.modulus(g.modulus(eps))),
+        modulus=lambda eps: f.modulus(g.modulus(eps)),
         cls=cls,
         region=f.region,
         label=f"{g.label}.{f.label}",
@@ -247,7 +253,6 @@ def extend_by_density(
     The modulus contract is spot-checked on sampled source pairs; a
     violation raises CertificateError with the witness pair.
     """
-    modulus = modulus if isinstance(modulus, ModulusFn) else ModulusFn(modulus)
     rep = MapRep(
         source=source,
         target=target,
@@ -262,7 +267,7 @@ def extend_by_density(
     for a, b in sample_pairs:
         d_hi = source.dist(a, b, check_effort).hi
         for eps in check_eps:
-            eta = modulus(eps)
+            eta = rep.modulus(eps)
             if d_hi < eta:
                 d_img = point_distance(rep.carrier_map(a), rep.carrier_map(b))
                 if not d_img.less_than(eps, check_effort).is_yes:
@@ -335,11 +340,7 @@ def limit_of_maps(
                 )
 
     def carrier_map(x):
-        return limit_point(
-            lambda k: seq(k).carrier_map(x),
-            lambda eps: modulus(eps),
-            check_depth=0,
-        )
+        return limit_point(lambda k: seq(k).carrier_map(x), modulus, check_depth=0)
 
     def lim_modulus(eps):
         k = modulus(eps / 3)
@@ -353,7 +354,7 @@ def limit_of_maps(
         source=first.source,
         target=first.target,
         carrier_map=carrier_map,
-        modulus=ModulusFn(lim_modulus),
+        modulus=lim_modulus,
         cls=cls,
         label="limit",
     )

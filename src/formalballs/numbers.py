@@ -112,6 +112,18 @@ def parse_rational(s) -> Fraction:
     raise ValueError(f"not a rational: {s!r}")
 
 
+def parse_int(s) -> int:
+    """Parse a JSON integer (not a bool) or a decimal integer string."""
+    if isinstance(s, int) and not isinstance(s, bool):
+        return s
+    if isinstance(s, str):
+        text = s.strip()
+        digits = text[1:] if text[:1] in ("+", "-") else text
+        if digits.isascii() and digits.isdigit():
+            return int(text)
+    raise ValueError(f"not an integer: {s!r}")
+
+
 def parse_bound(s) -> Bound:
     if isinstance(s, str) and s.strip().lower() == "inf":
         return INF

@@ -6,17 +6,15 @@ stage arithmetic with explicit accuracy bookkeeping; multiplication needs
 a caller-supplied integer bound on both factors, certified at build time
 and re-checked at every evaluation of a product that is not folded.
 
-Constants are folded: when every operand's underlying point is flagged
-constant, an operator returns the constant point of its exact result
-instead of a stage function.  This is exact, not an approximation: on
-constant operands c1, c2 each operator's stage function yields
-op(c1, c2) at every stage, whatever extra depth it reads its operands
-at, so the folded point has the same stages.  Operands that are not
-flagged, an ``apply_map`` image whose flag is still unset included, keep
-the stage function, so folding never evaluates a stage to learn a flag.
-The flag is read as ``underlying._constant[0]``, a plain attribute read
-rather than the ``is_constant`` property, because every operator of every
-expression reads it.
+Constants are folded: when every operand's underlying point is constant,
+an operator returns the constant point of its exact result instead of a
+stage function.  This is exact, not an approximation: on constant
+operands c1, c2 each operator's stage function yields op(c1, c2) at every
+stage, whatever extra depth it reads its operands at, so the folded point
+has the same stages.  A point is constant when it is built as one: its
+``_value`` slot then holds the element (see ``CompletionPoint``).  Folding
+reads that slot as a plain attribute, not through a property, because
+every operator of every expression reads it; it never evaluates a stage.
 """
 
 from __future__ import annotations
@@ -77,51 +75,40 @@ def _folded(value) -> RealPoint:
     return RealPoint(point_of_carrier(LINE, value))
 
 
-def _value(p: RealPoint):
-    """The value of a point flagged constant, read at a stage it already holds.
-
-    Every stage of such a point is the same element.  A point flagged by its
-    own stage function holds the stage that set the flag, so reading it
-    evaluates nothing new; a ``point_of_carrier`` point reads stage 0.
-    """
-    u = p.underlying
-    return u.approx(next(iter(u._stages), 0))
-
-
 def add_r(p: RealPoint, q: RealPoint) -> RealPoint:
-    if p.underlying._constant[0] and q.underlying._constant[0]:
-        return _folded(_value(p) + _value(q))
+    if p.underlying._value is not None and q.underlying._value is not None:
+        return _folded(p.underlying._value + q.underlying._value)
     # operand stages n+2: the two 2^-(n+2) errors sum below 2^-n
     return _real(lambda n: p.approx(n + 2) + q.approx(n + 2))
 
 
 def neg_r(p: RealPoint) -> RealPoint:
-    if p.underlying._constant[0]:
-        return _folded(-_value(p))
+    if p.underlying._value is not None:
+        return _folded(-p.underlying._value)
     return _real(lambda n: -p.approx(n))
 
 
 def sub_r(p: RealPoint, q: RealPoint) -> RealPoint:
-    if p.underlying._constant[0] and q.underlying._constant[0]:
-        return _folded(_value(p) - _value(q))
+    if p.underlying._value is not None and q.underlying._value is not None:
+        return _folded(p.underlying._value - q.underlying._value)
     return _real(lambda n: p.approx(n + 2) - q.approx(n + 2))
 
 
 def abs_r(p: RealPoint) -> RealPoint:
-    if p.underlying._constant[0]:
-        return _folded(abs(_value(p)))
+    if p.underlying._value is not None:
+        return _folded(abs(p.underlying._value))
     return _real(lambda n: abs(p.approx(n)))
 
 
 def max_r(p: RealPoint, q: RealPoint) -> RealPoint:
-    if p.underlying._constant[0] and q.underlying._constant[0]:
-        return _folded(max(_value(p), _value(q)))
+    if p.underlying._value is not None and q.underlying._value is not None:
+        return _folded(max(p.underlying._value, q.underlying._value))
     return _real(lambda n: max(p.approx(n), q.approx(n)))
 
 
 def min_r(p: RealPoint, q: RealPoint) -> RealPoint:
-    if p.underlying._constant[0] and q.underlying._constant[0]:
-        return _folded(min(_value(p), _value(q)))
+    if p.underlying._value is not None and q.underlying._value is not None:
+        return _folded(min(p.underlying._value, q.underlying._value))
     return _real(lambda n: min(p.approx(n), q.approx(n)))
 
 
@@ -131,8 +118,8 @@ def _certify_bound(p: RealPoint, bound: int) -> None:
     For a constant c every stage is c and 2^-m is smallest at m = 16, so
     the rule is |c| + 2^-16 <= bound, checked here in integers.
     """
-    if p.underlying._constant[0]:
-        c = _value(p)
+    c = p.underlying._value
+    if c is not None:
         den = c.denominator
         if (abs(c.numerator) << 16) + den <= (bound * den) << 16:
             return
@@ -159,8 +146,8 @@ def mul_r(p: RealPoint, q: RealPoint, bound: int) -> RealPoint:
         raise ValueError("multiplication bound must be a positive integer")
     _certify_bound(p, bound)
     _certify_bound(q, bound)
-    if p.underlying._constant[0] and q.underlying._constant[0]:
-        return _folded(_value(p) * _value(q))
+    if p.underlying._value is not None and q.underlying._value is not None:
+        return _folded(p.underlying._value * q.underlying._value)
     k = (2 * bound + 2).bit_length()
 
     def stage(n):
@@ -181,8 +168,8 @@ def scale_r(p: RealPoint, c) -> RealPoint:
     c = parse_rational(c)
     if c == 0:
         return real_of_rational(0)
-    if p.underlying._constant[0]:
-        return _folded(c * _value(p))
+    if p.underlying._value is not None:
+        return _folded(c * p.underlying._value)
     k = max(1, abs(c).__ceil__()).bit_length()
     return _real(lambda n: c * p.approx(n + k))
 

@@ -41,19 +41,19 @@ class UpperReal:
     raw bounds from its effort downward, stopping at the first one below
     the threshold, so a Yes costs as few stages as the answer allows.
 
-    ``_value`` is the rational of an upper real made by ``of_rational``
-    (None otherwise).  Its raw bound is that value at every effort, so
-    every running minimum is the value too, and ``bound`` and ``less_than``
-    answer from it without evaluating a raw bound.
+    ``value`` is the bound at every effort when the caller knows one
+    (``of_rational``), and None otherwise.  Every running minimum is then
+    that value, so ``bound`` and ``less_than`` answer from ``_value``
+    without evaluating a raw bound.
     """
 
     __slots__ = ("_fn", "_raw", "_best", "_value")
 
-    def __init__(self, bound_fn: Callable[[int], Bound]):
+    def __init__(self, bound_fn: Callable[[int], Bound], value=None):
         self._fn = bound_fn
         self._raw: dict[int, Bound] = {}
         self._best: list[Bound] = []
-        self._value = None
+        self._value = value
 
     def _raw_bound(self, e: int) -> Bound:
         raw = self._raw
@@ -102,9 +102,7 @@ class UpperReal:
     def of_rational(q: Fraction) -> "UpperReal":
         if q < 0:
             raise ValueError("upper real of a negative rational")
-        u = UpperReal(lambda _e: q)
-        u._value = q
-        return u
+        return UpperReal(lambda _e: q, q)
 
     @staticmethod
     def infinite() -> "UpperReal":

@@ -227,6 +227,30 @@ TWO_POINTS = {"type": "finite", "n": 2, "d": [["0", "1"], ["1", "0"]]}
             "check": "member", "carrier": TWO_POINTS,
             "u": [{"c": "-2", "r": "1"}], "point": "0",
         })],
+        # finite-carrier indices: a JSON integer or an integer string, nothing else
+        ["ball-check", json.dumps({
+            "check": "member", "carrier": TWO_POINTS,
+            "u": [{"c": 1.9, "r": "1/2"}], "point": 1,
+        })],
+        ["ball-check", json.dumps({
+            "check": "member", "carrier": TWO_POINTS,
+            "u": [{"c": 1, "r": "1/2"}], "point": 1.2,
+        })],
+        ["ball-check", json.dumps({
+            "check": "member", "carrier": TWO_POINTS,
+            "u": [{"c": True, "r": "1/2"}], "point": "1",
+        })],
+        ["ball-check", json.dumps({
+            "check": "member", "carrier": TWO_POINTS,
+            "u": [{"c": "1", "r": "1/2"}], "point": "1.0",
+        })],
+        ["ball-check", json.dumps({
+            "check": "member", "carrier": dict(TWO_POINTS, n=2.9),
+            "u": [{"c": 0, "r": "1/2"}], "point": 0,
+        })],
+        ["admissible", json.dumps({"n": 2, "lowers": [[[0.9], "0"]], "uppers": []})],
+        ["admissible", json.dumps({"n": 2, "lowers": [], "uppers": [[[1.5], "1"]]})],
+        ["admissible", json.dumps({"n": 2, "lowers": [[[False], "0"]], "uppers": []})],
         ["real-eval", "neg(" * 3000 + "1" + ")" * 3000],
         ["map-apply", "compose(id," * 1500 + "id" + ")" * 1500, "1/2"],
     ],

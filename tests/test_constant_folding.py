@@ -14,8 +14,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from formalballs.completion import CompletionPoint, point_of_carrier
-from formalballs.maps import apply_map, line_map
+from formalballs.completion import CompletionPoint, point_of_carrier, proj_point
+from formalballs.maps import apply_map, compose_maps, line_map, pair_maps, proj_map
 from formalballs.reals import (
     LINE,
     BoundViolation,
@@ -149,19 +149,28 @@ def test_mul_c_folds_and_raises_as_the_stage_function(z, w, ns):
             assert p.underlying.is_constant
 
 
-def test_an_image_folds_only_once_flagged_and_reads_no_new_stage():
-    image = RealPoint(apply_map(line_map(Fraction(1, 2), Fraction(1)),
-                                point_of_carrier(LINE, Fraction(1, 3))))
+def test_images_of_constants_are_flagged_when_built_and_fold():
+    x = point_of_carrier(LINE, Fraction(1, 3))
+    half = line_map(Fraction(1, 2), Fraction(1))
+    pair = apply_map(pair_maps(half, line_map(-1, 0)), x)
+    images = [
+        apply_map(half, x),
+        apply_map(compose_maps(line_map(1, 0), half), x),
+        apply_map(proj_map(LINE, LINE, 1), pair),
+        proj_point(pair, 1),
+    ]
+    assert pair.is_constant and pair._stages == {}
     one = real_of_rational(1)
-    unflagged = add_r(image, one)
-    assert image.underlying._stages == {}  # no stage read to learn the flag
+    for image in images:
+        assert image.is_constant and image._stages == {}  # flagged before any stage
+        folded = add_r(RealPoint(image), one)
+        assert folded.underlying.is_constant
+        assert image._stages == {}  # folding reads the slot, not a stage
+        assert folded.approx(9) == Fraction(13, 6)
+    twin_image = apply_map(half, unflagged_twin(Fraction(1, 3)).underlying)
+    unflagged = add_r(RealPoint(twin_image), one)
     assert not unflagged.underlying.is_constant
-    image.approx(5)  # the stage function sets the flag
-    assert image.underlying.is_constant
-    folded = add_r(image, one)
-    assert folded.underlying.is_constant
-    assert list(image.underlying._stages) == [5]
-    assert folded.approx(9) == unflagged.approx(9) == Fraction(13, 6)
+    assert unflagged.approx(9) == Fraction(13, 6)
 
 
 @settings(max_examples=80, deadline=None)
