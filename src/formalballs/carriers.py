@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Any, Callable, Optional
 
 from .numbers import Bound, bmax, parse_int, parse_rational
@@ -99,10 +100,15 @@ def finite_space(n: int, table) -> MetricCarrier:
                 raise MetricAxiomError("negative distance", (i, j))
             if d[i][j] != d[j][i]:
                 raise MetricAxiomError("asymmetric distance", (i, j))
-    for i in range(n):
-        for j in range(n):
+    # the triangle check on integers: every entry scaled by the lcm of the
+    # denominators; the first witness in (i, j, k) order is the same
+    scale = lcm(*(q.denominator for row in d for q in row))
+    m = [[q.numerator * (scale // q.denominator) for q in row] for row in d]
+    for i, mi in enumerate(m):
+        for j, mij in enumerate(mi):
+            mj = m[j]
             for k in range(n):
-                if d[i][k] > d[i][j] + d[j][k]:
+                if mi[k] > mij + mj[k]:
                     raise MetricAxiomError("triangle inequality violated", (i, j, k))
 
     frozen = tuple(tuple(row) for row in d)

@@ -19,6 +19,8 @@ from .reals import (
     add_c,
     complex_of_rational,
     conj_c,
+    coord_bound,
+    dot_c,
     modulus_c,
     modulus_interval,
     mul_c,
@@ -259,15 +261,6 @@ def submultiplicativity_check(
 # -- spectrum of the n-dimensional algebra ---------------------------------
 
 
-def _coord_bound(*points: ComplexPoint) -> int:
-    """A small certified integer bound on every coordinate of the points."""
-    worst = Fraction(1)
-    for z in points:
-        re, im = z.approx(4)
-        worst = max(worst, abs(re), abs(im))
-    return int(worst) + 2
-
-
 @dataclass(frozen=True)
 class Character:
     """A candidate character given by its values on the idempotent basis."""
@@ -280,11 +273,14 @@ class Character:
         return len(self.values)
 
     def apply(self, a: AlgebraElement, bound: int = None) -> ComplexPoint:
-        acc = complex_of_rational(0)
-        for chi_e, coord in zip(self.values, a.values):
-            b = bound if bound is not None else _coord_bound(chi_e, coord)
-            acc = add_c(acc, mul_c(chi_e, coord, b))
-        return acc
+        """The sum of chi(e_i) * a_i, one ``dot_c`` over the two value tuples.
+
+        On constant values, the only kind ``spec`` builds, ``dot_c`` folds
+        the sum in integers: the loop of ``mul_c``/``add_c`` it replaces
+        would fold every step to the same exact rational, so the point is
+        equal and no stage is read.
+        """
+        return dot_c(self.values, a.values, bound)
 
 
 def spectrum_of_cn(n: int):
@@ -346,7 +342,7 @@ def verify_character(chi: Character, samples, bound: int, k: int) -> dict:
         if not _is_query_equal(lhs, rhs, k):
             failures.append({"law": "additivity", "witness": "sampled pair"})
         lhs = chi.apply(alg_mul(a, b, bound))
-        rhs = mul_c(ca, cb, _coord_bound(ca, cb))
+        rhs = mul_c(ca, cb, coord_bound(ca, cb))
         if not _is_query_equal(lhs, rhs, k):
             failures.append({"law": "multiplicativity", "witness": "sampled pair"})
 

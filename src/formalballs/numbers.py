@@ -98,10 +98,10 @@ def stage_below(eps: Fraction) -> int:
 
 
 def parse_rational(s) -> Fraction:
-    """Parse "p/q" (or a bare integer string / int) into a Fraction."""
+    """Parse "p/q" (or a bare integer string / int, not a bool) into a Fraction."""
     if isinstance(s, Fraction):
         return s
-    if isinstance(s, int):
+    if isinstance(s, int) and not isinstance(s, bool):
         return Fraction(s)
     if isinstance(s, str):
         text = s.strip()

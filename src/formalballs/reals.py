@@ -15,6 +15,14 @@ has the same stages.  A point is constant when it is built as one: its
 ``_value`` slot then holds the element (see ``CompletionPoint``).  Folding
 reads that slot as a plain attribute, not through a property, because
 every operator of every expression reads it; it never evaluates a stage.
+
+A complex dot product of constant points (``dot_c``) is folded as a whole,
+in integers: each term is bounded and certified by the same integer rule
+as a constant factor of ``mul_r``, the products are summed as unnormalised
+numerator/denominator pairs, and the sum is normalised into a ``Fraction``
+once.  The folded loop of ``mul_c``/``add_c`` would reach the same exact
+rational one normalised step at a time, and equal rationals are equal
+``Fraction``s, so the answer and every error are unchanged.
 """
 
 from __future__ import annotations
@@ -112,16 +120,20 @@ def min_r(p: RealPoint, q: RealPoint) -> RealPoint:
     return _real(lambda n: min(p.approx(n), q.approx(n)))
 
 
+def _fits(num: int, den: int, bound: int) -> bool:
+    """|num/den| + 2^-16 <= bound, for den > 0, checked in integers."""
+    return (abs(num) << 16) + den <= (bound * den) << 16
+
+
 def _certify_bound(p: RealPoint, bound: int) -> None:
     """Raise unless |stage m| + 2^-m <= bound at one of m = 4, 8, 16.
 
     For a constant c every stage is c and 2^-m is smallest at m = 16, so
-    the rule is |c| + 2^-16 <= bound, checked here in integers.
+    the rule is |c| + 2^-16 <= bound (``_fits``).
     """
     c = p.underlying._value
     if c is not None:
-        den = c.denominator
-        if (abs(c.numerator) << 16) + den <= (bound * den) << 16:
+        if _fits(c.numerator, c.denominator, bound):
             return
     else:
         for m in (4, 8, 16):
@@ -194,6 +206,83 @@ def mul_c(a: ComplexPoint, b: ComplexPoint, bound: int) -> ComplexPoint:
     re = sub_r(mul_r(a.re, b.re, bound), mul_r(a.im, b.im, bound))
     im = add_r(mul_r(a.re, b.im, bound), mul_r(a.im, b.re, bound))
     return ComplexPoint(re, im)
+
+
+def coord_bound(*points: ComplexPoint) -> int:
+    """A small certified integer bound on every coordinate of the points."""
+    worst = Fraction(1)
+    for z in points:
+        re, im = z.approx(4)
+        worst = max(worst, abs(re), abs(im))
+    return int(worst) + 2
+
+
+def _add_pair(n1: int, d1: int, n2: int, d2: int):
+    """n1/d1 + n2/d2 as an unnormalised numerator/denominator pair."""
+    if d1 == d2:
+        return n1 + n2, d1
+    return n1 * d2 + n2 * d1, d1 * d2
+
+
+def _dot_values(terms, bound):
+    """Exact (re, im) of the sum of x * y over constant terms (xr, xi, yr, yi).
+
+    Each term is bounded and certified as ``mul_c`` would: the bound is
+    ``bound``, or floor(max(1, |coordinates|)) + 2, which is what
+    ``coord_bound`` reads off the constant stages.  The products are summed
+    as unnormalised integer pairs and normalised once, at the end.
+    """
+    rn = imn = 0
+    rd = imd = 1
+    for xr, xi, yr, yi in terms:
+        an, ad, bn, bd = xr.numerator, xr.denominator, xi.numerator, xi.denominator
+        cn, cd, dn, dd = yr.numerator, yr.denominator, yi.numerator, yi.denominator
+        b = bound
+        if b is None:
+            b = max(1, abs(an) // ad, abs(bn) // bd, abs(cn) // cd, abs(dn) // dd) + 2
+        elif b < 1:
+            raise ValueError("multiplication bound must be a positive integer")
+        if not (_fits(an, ad, b) and _fits(cn, cd, b)
+                and _fits(bn, bd, b) and _fits(dn, dd, b)):
+            raise BoundViolation(f"could not certify |value| <= {b}")
+        # (a + bi)(c + di) = (ac - bd) + (ad + bc)i; zero products add nothing
+        if an and cn:
+            rn, rd = _add_pair(rn, rd, an * cn, ad * cd)
+        if bn and dn:
+            rn, rd = _add_pair(rn, rd, -bn * dn, bd * dd)
+        if an and dn:
+            imn, imd = _add_pair(imn, imd, an * dn, ad * dd)
+        if bn and cn:
+            imn, imd = _add_pair(imn, imd, bn * cn, bd * cd)
+    return Fraction(rn, rd), Fraction(imn, imd)
+
+
+def dot_c(xs, ys, bound: int = None) -> ComplexPoint:
+    """Sum of x_i * y_i over the pairs of two sequences of complex points.
+
+    Each product is a ``mul_c`` with factor bound ``bound``, or with
+    ``coord_bound(x_i, y_i)`` when ``bound`` is None, added onto a running
+    ``add_c`` sum from 0.  When every coordinate of every term is constant,
+    the sum is folded in integers instead (see the module docstring) and
+    returned as one constant point.  The errors are the loop's: the bound
+    check comes before any certification, and a certification failure
+    raises the message ``mul_r`` would, naming the term's bound.
+    """
+    terms = []
+    for x, y in zip(xs, ys):
+        xr, xi = x.re.underlying._value, x.im.underlying._value
+        yr, yi = y.re.underlying._value, y.im.underlying._value
+        if xr is None or xi is None or yr is None or yi is None:
+            break
+        terms.append((xr, xi, yr, yi))
+    else:
+        re, im = _dot_values(terms, bound)
+        return ComplexPoint(_folded(re), _folded(im))
+    acc = complex_of_rational(0)
+    for x, y in zip(xs, ys):
+        b = bound if bound is not None else coord_bound(x, y)
+        acc = add_c(acc, mul_c(x, y, b))
+    return acc
 
 
 def modulus_interval(a: ComplexPoint, n: int):

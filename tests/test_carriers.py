@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from formalballs.carriers import (
     MetricAxiomError,
@@ -93,3 +95,55 @@ def test_projections_do_not_increase_distance():
         d = prod.dist(a, b, 0).hi
         assert line.dist(a[0], b[0], 0).hi <= d
         assert line.dist(a[1], b[1], 0).hi <= d
+
+
+def reference_triangle_witness(n, table):
+    """The first (i, j, k) with d(i, k) > d(i, j) + d(j, k), on Fractions."""
+    d = [[Fraction(table[i][j]) for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if d[i][k] > d[i][j] + d[j][k]:
+                    return (i, j, k)
+    return None
+
+
+@st.composite
+def symmetric_tables(draw):
+    """Symmetric zero-diagonal tables, some with one entry pushed up or down.
+
+    Entries have denominators 1, 2, 3, 5, 7; a table built from shortest
+    paths is a metric, and the injected entry may break the triangle
+    inequality in either direction, or not at all.
+    """
+    n = draw(st.integers(1, 7))
+    entry = st.builds(Fraction, st.integers(1, 40), st.sampled_from([1, 2, 3, 5, 7]))
+    d = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            d[i][j] = d[j][i] = draw(entry)
+    if draw(st.booleans()):
+        for k in range(n):
+            for i in range(n):
+                for j in range(n):
+                    d[i][j] = min(d[i][j], d[i][k] + d[k][j])
+    if n > 1 and draw(st.booleans()):
+        i = draw(st.integers(0, n - 1))
+        j = draw(st.integers(0, n - 1).filter(lambda j: j != i))
+        d[i][j] = d[j][i] = draw(entry)
+    # mix the input forms finite_space accepts
+    return n, [[draw(st.sampled_from([q, str(q)])) for q in row] for row in d]
+
+
+@settings(max_examples=200, deadline=None)
+@given(symmetric_tables())
+def test_triangle_check_matches_the_fraction_loop(case):
+    n, table = case
+    want = reference_triangle_witness(n, table)
+    if want is None:
+        finite_space(n, table)
+    else:
+        with pytest.raises(MetricAxiomError) as exc:
+            finite_space(n, table)
+        assert str(exc.value).startswith("triangle inequality violated")
+        assert exc.value.witness == want

@@ -1,0 +1,173 @@
+"""Characters on constant elements, folded as one integer dot product.
+
+``Character.apply`` is ``dot_c`` over the character's values and the
+element's coordinates.  When every coordinate is constant the sum is
+computed in integers; otherwise it is the loop of ``mul_c``/``add_c`` the
+fold replaces.  Both are compared here with the same computation on
+unflagged twins, ``RealPoint(CompletionPoint(LINE, lambda n: q))``, which
+always take the loop: equal stages by repr, or the same error type and
+message.  Inputs that mix constant and unflagged coordinates must take the
+loop exactly as written before the fold: the same stages of the same
+inputs, read in the same order.
+"""
+
+from fractions import Fraction
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from formalballs.completion import CompletionPoint, point_of_carrier
+from formalballs.gelfand import AlgebraElement, Character, verify_character
+from formalballs.reals import (
+    LINE,
+    BoundViolation,
+    ComplexPoint,
+    RealPoint,
+    add_c,
+    complex_of_rational,
+    coord_bound,
+    mul_c,
+)
+
+
+def constant(q) -> RealPoint:
+    return RealPoint(point_of_carrier(LINE, q))
+
+
+def twin(q, log=None, tag=None) -> RealPoint:
+    """An unflagged point with every stage q; logs (tag, n) per stage read."""
+
+    def stage(n):
+        if log is not None:
+            log.append((tag, n))
+        return q
+
+    return RealPoint(CompletionPoint(LINE, stage))
+
+
+def loop_apply(chi: Character, a: AlgebraElement, bound=None) -> ComplexPoint:
+    """``Character.apply`` as written before the fold."""
+    acc = complex_of_rational(0)
+    for chi_e, coord in zip(chi.values, a.values):
+        b = bound if bound is not None else coord_bound(chi_e, coord)
+        acc = add_c(acc, mul_c(chi_e, coord, b))
+    return acc
+
+
+def outcome(build, ns):
+    """The reprs of the built point's stages, or the error it raised."""
+    try:
+        z = build()
+        return "ok", [repr(z.approx(n)) for n in ns]
+    except (BoundViolation, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+# non-dyadic denominators included; ints too, as point_of_carrier keeps them
+rationals = (st.fractions(min_value=-12, max_value=12, max_denominator=30)
+             | st.integers(-12, 12))
+stage_lists = st.lists(st.integers(0, 40), min_size=1, max_size=3)
+
+
+@st.composite
+def dot_cases(draw):
+    """Character values, element coordinates and a bound (None, or -1..9).
+
+    With an explicit bound, some coordinates are ±(bound - k/2^18) for
+    k = 0..8: a constant c certifies iff |c| + 2^-16 <= bound, so these sit
+    within 2^-18 of both sides of the rule.
+    """
+    n = draw(st.integers(1, 4))
+    bound = draw(st.none() | st.integers(-1, 9))
+    value = rationals
+    if bound is not None:
+        edge = st.builds(
+            lambda k, sign: sign * (bound - Fraction(k, 2 ** 18)),
+            st.integers(0, 8), st.sampled_from([1, -1]),
+        )
+        value = st.one_of(rationals, edge)
+    pairs = st.lists(st.tuples(value, value), min_size=n, max_size=n)
+    return draw(pairs), draw(pairs), bound
+
+
+def character_of(pairs, make):
+    return Character(tuple(ComplexPoint(make(re), make(im)) for re, im in pairs))
+
+
+def element_of(pairs, make):
+    return AlgebraElement(tuple(ComplexPoint(make(re), make(im)) for re, im in pairs))
+
+
+@settings(max_examples=200, deadline=None)
+@given(dot_cases(), stage_lists)
+@example(([(1, 0)], [(Fraction(3) - Fraction(1, 2 ** 16), 0)], 3), [0])  # certifies
+@example(([(1, 0)], [(Fraction(3) - Fraction(1, 2 ** 17), 0)], 3), [0])  # does not
+@example(([(1, 0), (5, 0)], [(1, 0), (1, 0)], 0), [0])  # the bound check comes first
+@example(([(Fraction(1, 3), Fraction(-2, 7))], [(Fraction(5, 6), 9)], None), [0, 9])
+def test_apply_folds_as_the_loop_on_unflagged_twins(case, ns):
+    chi_pairs, a_pairs, bound = case
+    chi, a = character_of(chi_pairs, constant), element_of(a_pairs, constant)
+    folded = outcome(lambda: chi.apply(a, bound), ns)
+    twins = outcome(
+        lambda: character_of(chi_pairs, twin).apply(element_of(a_pairs, twin), bound), ns)
+    assert folded == twins
+    assert folded == outcome(lambda: loop_apply(chi, a, bound), ns)
+    if folded[0] == "ok":
+        chi, a = character_of(chi_pairs, constant), element_of(a_pairs, constant)
+        z = chi.apply(a, bound)
+        assert z.re.underlying.is_constant and z.im.underlying.is_constant
+        # folding reads the value slots, never a stage of an input
+        for p in chi.values + a.values:
+            assert p.re.underlying._stages == {} and p.im.underlying._stages == {}
+
+
+@settings(max_examples=150, deadline=None)
+@given(dot_cases(), st.data(), stage_lists)
+def test_mixed_inputs_take_the_loop_and_read_the_same_stages(case, data, ns):
+    chi_pairs, a_pairs, bound = case
+    flags = data.draw(st.lists(st.booleans(), min_size=4 * len(a_pairs),
+                               max_size=4 * len(a_pairs)))
+
+    def build(log):
+        coords = iter(zip(flags, range(len(flags))))
+
+        def make(q):
+            is_twin, tag = next(coords)
+            return twin(q, log, tag) if is_twin else constant(q)
+
+        return character_of(chi_pairs, make), element_of(a_pairs, make)
+
+    new_log, old_log = [], []
+    new = outcome(lambda: Character.apply(*build(new_log), bound), ns)
+    old = outcome(lambda: loop_apply(*build(old_log), bound), ns)
+    assert new == old
+    assert new_log == old_log
+
+
+@settings(max_examples=40, deadline=None)
+@given(dot_cases())
+def test_verify_character_answers_as_on_unflagged_twins(case):
+    chi_pairs, a_pairs, bound = case
+    b_pairs = [(im, re) for re, im in a_pairs]
+
+    def report(make):
+        chi = character_of(chi_pairs, make)
+        samples = [(element_of(a_pairs, make), element_of(b_pairs, make))]
+        try:
+            # alg_mul's bound; 13 covers every coordinate of ``rationals``
+            return verify_character(chi, samples, bound=13 if bound is None else bound, k=8)
+        except (BoundViolation, ValueError) as exc:
+            return type(exc).__name__, str(exc)
+
+    assert report(constant) == report(twin)
+
+
+def test_spectrum_characters_pass_on_constants_and_twins():
+    n = 3
+    for i in range(n):
+        pairs = [(1 if j == i else 0, 0) for j in range(n)]
+        samples = [(element_of([(Fraction(1, 3), 1)] * n, constant),
+                    element_of([(j, Fraction(-2, 5)) for j in range(n)], constant))]
+        for make in (constant, twin):
+            rep = verify_character(character_of(pairs, make), samples, bound=8, k=16)
+            assert rep["result"] == "Pass", rep

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -145,6 +146,24 @@ def test_spec_bound_covers_the_samples(capsys, n):
     assert all(r["result"] == "Pass" for r in out["reports"])
 
 
+# sha256 of `formalballs spec '{"n": n}'` stdout, taken before characters
+# were evaluated as one integer dot product; the fold must not move a byte
+SPEC_STDOUT_SHA256 = {
+    1: "0c66babe5e9c0b9f054a0d522531778b464b9eb2f9c70e85f47640f4a8a50c96",
+    5: "79bf31d6bf668f0584ce3dbbb92bbb9b97fdca7deb4f8c4bec4c7f6488be1157",
+    9: "eadc2046963769ec800d4056c7668a9e7665bb113730f1dcafe2bf2d6b5ec30f",
+    32: "9ba66235d63f1271e8606e5239ee369bdb35179d5cfee311eec07dc47987e207",
+}
+
+
+@pytest.mark.parametrize("n", sorted(SPEC_STDOUT_SHA256))
+def test_spec_stdout_bytes_are_pinned(capsys, n):
+    code = main(["spec", json.dumps({"n": n})])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SPEC_STDOUT_SHA256[n]
+
+
 @pytest.mark.parametrize("command, limit", [("admissible", cli.ADMISSIBLE_MAX_N),
                                             ("spec", cli.SPEC_MAX_N)])
 @pytest.mark.parametrize("n", ["2.9", "5.0", "true", "false", '"3"', "null", "[3]",
@@ -251,6 +270,15 @@ TWO_POINTS = {"type": "finite", "n": 2, "d": [["0", "1"], ["1", "0"]]}
         ["admissible", json.dumps({"n": 2, "lowers": [[[0.9], "0"]], "uppers": []})],
         ["admissible", json.dumps({"n": 2, "lowers": [], "uppers": [[[1.5], "1"]]})],
         ["admissible", json.dumps({"n": 2, "lowers": [[[False], "0"]], "uppers": []})],
+        # a rational is a JSON integer or a "p/q" string, never a bool
+        ["ball-check", json.dumps({
+            "check": "member", "u": [{"c": True, "r": True}], "point": True,
+        })],
+        ["mm-check", json.dumps({
+            "axiom": "MM3", "map": "scale(1/2)",
+            "parts": {"u": [{"c": "0", "r": "1"}], "q": True},
+        })],
+        ["admissible", json.dumps({"n": 2, "lowers": [[[0], True]], "uppers": []})],
         ["real-eval", "neg(" * 3000 + "1" + ")" * 3000],
         ["map-apply", "compose(id," * 1500 + "id" + ")" * 1500, "1/2"],
     ],

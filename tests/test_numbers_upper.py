@@ -39,6 +39,15 @@ def test_rational_serialization():
     assert decimal_str(Fraction(2)) == "2"
 
 
+@pytest.mark.parametrize("flag", [True, False])
+def test_parse_rational_rejects_bools(flag):
+    assert parse_rational(int(flag)) == int(flag)
+    with pytest.raises(ValueError, match="not a rational"):
+        parse_rational(flag)
+    with pytest.raises(ValueError, match="not a rational"):
+        parse_bound(flag)
+
+
 def test_half_pow():
     assert half_pow(3) == Fraction(1, 8)
     assert half_pow(0) == 1
