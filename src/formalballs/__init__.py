@@ -106,6 +106,7 @@ from .gelfand import (
     spectrum_of_cn,
     sup_norm,
     verify_character,
+    verify_spectrum,
 )
 from .lawsuite import run_law_suite, suite_json
 

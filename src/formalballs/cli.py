@@ -27,12 +27,13 @@ from .carriers import finite_space_from_json, rational_line
 from .completion import member_query, pair_point, point_of_carrier
 from .function_locale import MMInstance, check_axiom
 from .gelfand import (
+    AlgebraElement,
     FiniteDiscreteSpace,
     BasicOpenXR,
     has_point,
     is_admissible,
     spectrum_of_cn,
-    verify_character,
+    verify_spectrum,
 )
 from .lawsuite import run_law_suite, suite_json
 from .maps import (
@@ -358,8 +359,6 @@ def _cmd_spec(args):
     payload = _load_payload(args)
     n = _space_size(payload, SPEC_MAX_N)
     chars = spectrum_of_cn(n)
-    from .gelfand import AlgebraElement
-
     samples = [
         (
             AlgebraElement.of_rationals([(1, 0)] * n),
@@ -368,7 +367,7 @@ def _cmd_spec(args):
     ]
     # the sample coordinates reach n - 1; the factor bound must cover them
     bound = max(8, n)
-    reports = [verify_character(chi, samples, bound=bound, k=16) for chi in chars]
+    reports = verify_spectrum(chars, samples, bound=bound, k=16)
     ok = all(r["result"] == "Pass" for r in reports)
     return (0 if ok else 1), {
         "n": n,

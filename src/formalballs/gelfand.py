@@ -305,24 +305,17 @@ def _is_query_equal(x: ComplexPoint, y: ComplexPoint, k: int) -> bool:
     return _within(x.approx(k + 3), y.approx(k + 3), k, half_pow(k + 1))
 
 
-def verify_character(chi: Character, samples, bound: int, k: int) -> dict:
-    """Check unitality, linearity, multiplicativity, idempotent dichotomy.
-
-    The dichotomy step is the executable core of the spectrum count: each
-    basis idempotent must evaluate to 0 or 1, the values must sum to 1,
-    so exactly one idempotent is sent to 1 and the character is a
-    coordinate projection.
-    """
-    n = chi.n
+def _check_character(chi: Character, elements, k: int) -> dict:
+    one, idempotents, products = elements
     failures = []
 
-    if not _close_to(chi.apply(unit(n)), Fraction(1), k):
+    if not _close_to(chi.apply(one), Fraction(1), k):
         failures.append({"law": "unit", "witness": "1"})
 
     one_count = 0
     total = complex_of_rational(0)
-    for i in range(n):
-        z = chi.apply(idempotent(n, i))
+    for i, e in enumerate(idempotents):
+        z = chi.apply(e)
         is0 = _close_to(z, Fraction(0), k)
         is1 = _close_to(z, Fraction(1), k)
         if not (is0 or is1):
@@ -335,13 +328,13 @@ def verify_character(chi: Character, samples, bound: int, k: int) -> dict:
     if one_count != 1 and not failures:
         failures.append({"law": "projection count", "witness": str(one_count)})
 
-    for a, b in samples:
-        lhs = chi.apply(alg_add(a, b))
+    for a, b, a_plus_b, a_times_b in products:
+        lhs = chi.apply(a_plus_b)
         ca, cb = chi.apply(a), chi.apply(b)
         rhs = add_c(ca, cb)
         if not _is_query_equal(lhs, rhs, k):
             failures.append({"law": "additivity", "witness": "sampled pair"})
-        lhs = chi.apply(alg_mul(a, b, bound))
+        lhs = chi.apply(a_times_b)
         rhs = mul_c(ca, cb, coord_bound(ca, cb))
         if not _is_query_equal(lhs, rhs, k):
             failures.append({"law": "multiplicativity", "witness": "sampled pair"})
@@ -352,6 +345,36 @@ def verify_character(chi: Character, samples, bound: int, k: int) -> dict:
         "failures": failures,
         "k": k,
     }
+
+
+def verify_spectrum(chars, samples, bound: int, k: int) -> list:
+    """One ``verify_character`` report per character, in order.
+
+    The elements a character is applied to (the unit, the basis
+    idempotents, and each sample pair with its sum and product) do not
+    depend on the character, so they are built once for each n among the
+    characters, not once per character.
+    """
+    built = {}
+    reports = []
+    for chi in chars:
+        n = chi.n
+        if n not in built:
+            products = [(a, b, alg_add(a, b), alg_mul(a, b, bound)) for a, b in samples]
+            built[n] = unit(n), [idempotent(n, i) for i in range(n)], products
+        reports.append(_check_character(chi, built[n], k))
+    return reports
+
+
+def verify_character(chi: Character, samples, bound: int, k: int) -> dict:
+    """Check unitality, linearity, multiplicativity, idempotent dichotomy.
+
+    The dichotomy step is the executable core of the spectrum count: each
+    basis idempotent must evaluate to 0 or 1, the values must sum to 1,
+    so exactly one idempotent is sent to 1 and the character is a
+    coordinate projection.
+    """
+    return verify_spectrum([chi], samples, bound, k)[0]
 
 
 def duality_round_trip(n: int, k: int, samples=None, bound: int = 8) -> dict:
@@ -367,9 +390,10 @@ def duality_round_trip(n: int, k: int, samples=None, bound: int = 8) -> dict:
 
     if len(chars) != n:
         failures.append({"law": "cardinality", "witness": len(chars)})
+    idempotents = [idempotent(n, j) for j in range(n)]
     for i, chi in enumerate(chars):
-        for j in range(n):
-            z = chi.apply(idempotent(n, j))
+        for j, e in enumerate(idempotents):
+            z = chi.apply(e)
             want = Fraction(1 if j == i else 0)
             if not _close_to(z, want, k):
                 failures.append(

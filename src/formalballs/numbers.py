@@ -169,25 +169,32 @@ def decimal_str(x: Fraction, max_digits: int = 40) -> str:
 
 
 def sqrt_upper(x: Fraction, bits: int) -> Fraction:
-    """Rational r with r >= sqrt(x) and r - sqrt(x) <= 2^-bits, for x >= 0."""
-    if x < 0:
+    """Rational r with r >= sqrt(x) and r - sqrt(x) <= 2^-bits, for x >= 0.
+
+    r = (isqrt(floor(x * 4^bits)) + 1) / 2^bits, computed as
+    ``isqrt((num << 2*bits) // den)`` on x = num/den (an int is num/1).
+    The floor depends on the rational only, not on the pair that
+    represents it, so ``modulus_interval`` may form it from an unnormalised
+    pair and get the same r.  Sign and zero are read off the numerator,
+    which is cheaper than a ``Fraction`` comparison.
+    """
+    num = x.numerator
+    if num < 0:
         raise ValueError("sqrt of negative rational")
-    if x == 0:
+    if not num:
         return Fraction(0)
-    scale = 1 << bits
     # ceil(sqrt(x) * 2^bits) <= isqrt(floor(x * 4^bits)) + 1
-    num = x.numerator * scale * scale
-    den = x.denominator
-    return Fraction(isqrt(num // den) + 1, scale)
+    return Fraction(isqrt((num << 2 * bits) // x.denominator) + 1, 1 << bits)
 
 
 def sqrt_lower(x: Fraction, bits: int) -> Fraction:
-    """Rational r with 0 <= r <= sqrt(x) and sqrt(x) - r <= 2^-bits."""
-    if x < 0:
+    """Rational r with 0 <= r <= sqrt(x) and sqrt(x) - r <= 2^-bits.
+
+    r = isqrt(floor(x * 4^bits)) / 2^bits, in integers as in ``sqrt_upper``.
+    """
+    num = x.numerator
+    if num < 0:
         raise ValueError("sqrt of negative rational")
-    if x == 0:
+    if not num:
         return Fraction(0)
-    scale = 1 << bits
-    num = x.numerator * scale * scale
-    den = x.denominator
-    return Fraction(isqrt(num // den), scale)
+    return Fraction(isqrt((num << 2 * bits) // x.denominator), 1 << bits)

@@ -23,17 +23,28 @@ numerator/denominator pairs, and the sum is normalised into a ``Fraction``
 once.  The folded loop of ``mul_c``/``add_c`` would reach the same exact
 rational one normalised step at a time, and equal rationals are equal
 ``Fraction``s, so the answer and every error are unchanged.
+
+Every stage is a ``Fraction`` (or an int), but the hot readouts compute on
+its numerator and denominator: the bound checks of ``_certify_bound`` and
+``mul_r`` compare integers scaled by the positive denominator, and
+``modulus_interval`` forms floor(|z|^2 4^bits) of its rational enclosure
+from one common denominator and builds each endpoint ``Fraction`` once.
+These are exact rewrites, not roundings: a comparison scaled by a positive
+integer keeps its sense, and floor(N/D) depends only on the rational N/D,
+not on which pair represents it, so every endpoint equals the one the
+``Fraction`` formula gives.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt, lcm
 from typing import Callable
 
 from .carriers import rational_line
 from .completion import CompletionPoint, point_of_carrier
-from .numbers import half_pow, parse_rational, sqrt_lower, sqrt_upper
+from .numbers import parse_rational
 from .upper import UpperReal
 
 LINE = rational_line()
@@ -120,16 +131,21 @@ def min_r(p: RealPoint, q: RealPoint) -> RealPoint:
     return _real(lambda n: min(p.approx(n), q.approx(n)))
 
 
-def _fits(num: int, den: int, bound: int) -> bool:
-    """|num/den| + 2^-16 <= bound, for den > 0, checked in integers."""
-    return (abs(num) << 16) + den <= (bound * den) << 16
+def _fits(num: int, den: int, bound: int, m: int = 16) -> bool:
+    """|num/den| + 2^-m <= bound, for den > 0, checked in integers.
+
+    Both sides are scaled by den * 2^m; the rule needs an int ``bound``.
+    """
+    return (abs(num) << m) + den <= (bound * den) << m
 
 
 def _certify_bound(p: RealPoint, bound: int) -> None:
     """Raise unless |stage m| + 2^-m <= bound at one of m = 4, 8, 16.
 
-    For a constant c every stage is c and 2^-m is smallest at m = 16, so
-    the rule is |c| + 2^-16 <= bound (``_fits``).
+    Each stage s = num/den is checked in integers as
+    (|num| << m) + den <= (bound * den) << m (``_fits``), which is the
+    rational rule scaled by den * 2^m.  For a constant c every stage is c
+    and 2^-m is smallest at m = 16, so the rule is |c| + 2^-16 <= bound.
     """
     c = p.underlying._value
     if c is not None:
@@ -137,7 +153,8 @@ def _certify_bound(p: RealPoint, bound: int) -> None:
             return
     else:
         for m in (4, 8, 16):
-            if abs(p.approx(m)) + half_pow(m) <= bound:
+            s = p.approx(m)
+            if _fits(s.numerator, s.denominator, bound, m):
                 return
     raise BoundViolation(f"could not certify |value| <= {bound}")
 
@@ -146,7 +163,9 @@ def mul_r(p: RealPoint, q: RealPoint, bound: int) -> RealPoint:
     """Product of two reals, each certified to satisfy |factor| <= bound.
 
     Stage n reads both factors k extra bits deep, k the bit length of
-    2*bound + 2, so the product error stays below 2^-(n+1).
+    2*bound + 2, so the product error stays below 2^-(n+1).  Each factor
+    stage a is checked against the bound as |a.numerator| > bound *
+    a.denominator, the rule |a| > bound times the positive denominator.
 
     The bound check and both certifications run first, so every error is
     raised as for any other factors.  Then two constant factors fold to the
@@ -166,7 +185,8 @@ def mul_r(p: RealPoint, q: RealPoint, bound: int) -> RealPoint:
         m = n + 1 + k
         a = p.approx(m)
         b = q.approx(m)
-        if abs(a) > bound or abs(b) > bound:
+        if (abs(a.numerator) > bound * a.denominator
+                or abs(b.numerator) > bound * b.denominator):
             raise BoundViolation(
                 f"factor stage {m} escaped the certified bound {bound}"
             )
@@ -286,16 +306,39 @@ def dot_c(xs, ys, bound: int = None) -> ComplexPoint:
 
 
 def modulus_interval(a: ComplexPoint, n: int):
-    """Two-sided rational enclosure of |a| with width about 2^-n."""
+    """Two-sided rational enclosure of |a| with width about 2^-n.
+
+    With m = n + 2, stages x, y at m and err = 2^-m, the enclosure is
+    sqrt_lower(lo2, m + 2), sqrt_upper(hi2, m + 2) for
+    hi2 = (|x| + err)^2 + (|y| + err)^2 and lo2 the same with each
+    |x| - err clamped at 0.  It is computed in integers: over the common
+    denominator L of x = u/b and y = v/d, |x| + err = hx / (L 2^m) with
+    hx = (|u| 2^m + b) L/b, so floor(hi2 4^(m+2)) = ((hx^2 + hy^2) << 4)
+    // L^2, a shift when L is a power of two, and the square-root bounds
+    read nothing else of hi2 (see ``sqrt_upper``).  The floor of a rational does not depend on the pair
+    that represents it, so the endpoints equal the ``Fraction`` formula's.
+    """
     m = n + 2
-    x = abs(a.re.approx(m))
-    y = abs(a.im.approx(m))
-    err = half_pow(m)
-    hi2 = (x + err) ** 2 + (y + err) ** 2
-    lo_x = max(Fraction(0), x - err)
-    lo_y = max(Fraction(0), y - err)
-    lo2 = lo_x ** 2 + lo_y ** 2
-    return sqrt_lower(lo2, m + 2), sqrt_upper(hi2, m + 2)
+    x = a.re.approx(m)
+    y = a.im.approx(m)
+    xn, b = abs(x.numerator) << m, x.denominator
+    yn, d = abs(y.numerator) << m, y.denominator
+    den = b if b == d else lcm(b, d)
+    fx, fy = den // b, den // d
+    hx, hy = (xn + b) * fx, (yn + d) * fy
+    lx, ly = max(0, xn - b) * fx, max(0, yn - d) * fy
+    hi = (hx * hx + hy * hy) << 4
+    lo = (lx * lx + ly * ly) << 4
+    if den & (den - 1):
+        den2 = den * den
+        hi //= den2
+        lo //= den2
+    else:  # den = 2^j: dividing by den^2 is a shift by 2j
+        shift = 2 * (den.bit_length() - 1)
+        hi >>= shift
+        lo >>= shift
+    scale = 1 << (m + 2)
+    return Fraction(isqrt(lo), scale), Fraction(isqrt(hi) + 1, scale)
 
 
 def modulus_c(a: ComplexPoint) -> UpperReal:

@@ -17,7 +17,9 @@ from formalballs.gelfand import (
     submultiplicativity_check,
     sup_norm,
     verify_character,
+    verify_spectrum,
 )
+from formalballs import gelfand
 from formalballs.lawsuite import enumerate_basic_opens
 from formalballs.reals import complex_of_rational
 
@@ -117,6 +119,40 @@ def test_bad_character_fails_multiplicativity():
     assert rep["result"] == "Fail"
     laws = {f["law"] for f in rep["failures"]}
     assert "idempotent sum" in laws or "projection count" in laws
+
+
+def test_verify_spectrum_reports_as_one_character_calls():
+    samples = [
+        (
+            AlgebraElement.of_rationals([(1, 0), (2, 1), (Fraction(-1, 3), 0)]),
+            AlgebraElement.of_rationals([(0, 1), (1, 1), (2, -1)]),
+        )
+    ]
+    bad = Character(tuple(complex_of_rational(1) for _ in range(3)), label="sum")
+    chars = spectrum_of_cn(3) + [bad] + spectrum_of_cn(2)
+    want = [verify_character(chi, samples, bound=8, k=16) for chi in chars]
+    assert verify_spectrum(chars, samples, bound=8, k=16) == want
+    assert [r["result"] for r in want] == ["Pass"] * 3 + ["Fail"] + ["Pass"] * 2
+    assert verify_spectrum([], samples, bound=8, k=16) == []
+
+
+def test_verify_spectrum_builds_the_elements_once_per_n(monkeypatch):
+    chars = spectrum_of_cn(4)
+    built = []
+    real_idempotent, real_unit = gelfand.idempotent, gelfand.unit
+
+    def idempotent(n, i):
+        built.append(("e", n, i))
+        return real_idempotent(n, i)
+
+    def unit(n):
+        built.append(("1", n))
+        return real_unit(n)
+
+    monkeypatch.setattr(gelfand, "idempotent", idempotent)
+    monkeypatch.setattr(gelfand, "unit", unit)
+    verify_spectrum(chars, [], bound=8, k=16)
+    assert sorted(built) == [("1", 4)] + [("e", 4, i) for i in range(4)]
 
 
 def test_duality_round_trip():
