@@ -144,6 +144,12 @@ def is_positive(u: BallOpen) -> bool:
 def meet_witness(u: BallOpen, v: BallOpen, effort: int) -> Optional[FormalBall]:
     """Search for a ball lying way inside both u and v.
 
+    A candidate center's slack in an open is the largest radius - dist_hi
+    over its balls; the witness needs a positive slack in both.  That
+    maximum is positive iff some ball contains the candidate (dist_hi <
+    radius), and then it is the maximum over the containing balls alone,
+    so only those are subtracted.
+
     Returns None if no witness was found at this effort; that is not a
     refutation of overlap.
     """
@@ -167,14 +173,15 @@ def meet_witness(u: BallOpen, v: BallOpen, effort: int) -> Optional[FormalBall]:
             best = None
             for b in open_.balls:
                 d = carrier.dist(c, b.center, effort).hi
-                s = b.radius - d
-                if best is None or s > best:
-                    best = s
-            if best is None or best <= 0:
+                if d < b.radius:
+                    s = b.radius - d
+                    if best is None or s > best:
+                        best = s
+            if best is None:
                 slack = None
                 break
             slack = best if slack is None else min(slack, best)
-        if slack is not None and slack > 0:
+        if slack is not None:
             w = FormalBall(c, slack / 4)
             wo = BallOpen.of(carrier, w)
             # witness must sit way inside both opens with a positive margin

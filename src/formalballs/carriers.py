@@ -87,7 +87,9 @@ def finite_space(n: int, table) -> MetricCarrier:
     """Finite carrier {0..n-1} with exact distances from a symmetric table.
 
     Rejects tables violating symmetry, zero diagonal, non-negativity or the
-    triangle inequality, naming the offending points.
+    triangle inequality, naming the offending points.  The n^2 exact
+    intervals are built once here, so ``dist`` is a table lookup; an
+    ``Interval`` is frozen, so sharing one between calls is safe.
     """
     if n < 1:
         raise ValueError("finite space needs at least one point")
@@ -112,9 +114,10 @@ def finite_space(n: int, table) -> MetricCarrier:
                     raise MetricAxiomError("triangle inequality violated", (i, j, k))
 
     frozen = tuple(tuple(row) for row in d)
+    rows = tuple(tuple(_exact(q) for q in row) for row in frozen)
 
     def dist(a, b, _effort):
-        return _exact(frozen[a][b])
+        return rows[a][b]
 
     return MetricCarrier(
         kind=("finite", frozen),

@@ -218,13 +218,22 @@ def _load_payload(args) -> dict:
     return payload
 
 
+# the keys each carrier type reads; any other key is rejected, not ignored
+_CARRIER_KEYS = {"line": {"type"}, "finite": {"type", "n", "d"}}
+
+
 def _carrier_from_json(payload):
+    """The carrier object: {"type": "line"} (the default) or
+    {"type": "finite", "n": ..., "d": [[...]]}."""
+    if not isinstance(payload, dict):
+        raise ParseFailure("carrier must be a JSON object")
     kind = payload.get("type", "line")
-    if kind == "line":
-        return LINE
-    if kind == "finite":
-        return finite_space_from_json(payload)
-    raise ParseFailure(f"unknown carrier type {kind!r}")
+    if not isinstance(kind, str) or kind not in _CARRIER_KEYS:
+        raise ParseFailure(f"unknown carrier type {kind!r}")
+    unknown = sorted(set(payload) - _CARRIER_KEYS[kind])
+    if unknown:
+        raise ParseFailure(f"unknown keys for a {kind} carrier: {unknown}")
+    return LINE if kind == "line" else finite_space_from_json(payload)
 
 
 def _element(carrier, x):

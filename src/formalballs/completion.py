@@ -100,10 +100,22 @@ def member_query(p: CompletionPoint, u: BallOpen, effort: int) -> Query:
 
 
 def point_distance(p: CompletionPoint, q: CompletionPoint) -> UpperReal:
-    """Sound upper real for the completion distance between two points."""
+    """Sound upper real for the completion distance between two points.
+
+    The raw bound at n is dist_hi(x_n, y_n) + 2^(1-n).  For two points built
+    constant (``_value`` set) whose distance is exact at effort 0 (lo == hi),
+    it is d + 2^(1-n) with the same d at every n: distance intervals are
+    nested, so an exact one never changes.  That falls strictly with n, so
+    the upper real is ``decreasing`` and a query reads one raw bound.
+    """
     if p.carrier.kind != q.carrier.kind:
         raise ValueError("points over different carriers")
     carrier = p.carrier
+    if p._value is not None and q._value is not None:
+        iv = carrier.dist(p._value, q._value, 0)
+        if iv.lo == iv.hi:
+            d = iv.hi
+            return UpperReal(lambda n: d + half_pow(n - 1), decreasing=True)
 
     def bound(n):
         return carrier.dist(p.approx(n), q.approx(n), n).hi + half_pow(n - 1)

@@ -45,15 +45,24 @@ class UpperReal:
     (``of_rational``), and None otherwise.  Every running minimum is then
     that value, so ``bound`` and ``less_than`` answer from ``_value``
     without evaluating a raw bound.
+
+    ``decreasing=True`` promises that the raw bounds never rise with
+    effort, so the running minimum at effort e is the raw bound at e, and
+    ``bound`` and ``less_than`` read that one raw bound.  Only
+    ``completion.point_distance`` sets it, for two constant points at an
+    exact distance d, where the raw bound d + 2^(1-n) falls strictly.
     """
 
-    __slots__ = ("_fn", "_raw", "_best", "_value")
+    __slots__ = ("_fn", "_raw", "_best", "_value", "_decreasing")
 
-    def __init__(self, bound_fn: Callable[[int], Bound], value=None):
+    def __init__(
+        self, bound_fn: Callable[[int], Bound], value=None, decreasing=False
+    ):
         self._fn = bound_fn
         self._raw: dict[int, Bound] = {}
         self._best: list[Bound] = []
         self._value = value
+        self._decreasing = decreasing
 
     def _raw_bound(self, e: int) -> Bound:
         raw = self._raw
@@ -66,6 +75,8 @@ class UpperReal:
             raise ValueError("effort must be >= 0")
         if self._value is not None:
             return self._value
+        if self._decreasing:
+            return self._raw_bound(effort)
         best = self._best
         while len(best) <= effort:
             e = len(best)
@@ -85,6 +96,8 @@ class UpperReal:
             raise ValueError("effort must be >= 0")
         if self._value is not None:
             return Query.YES if self._value < q else Query.NOT_YET
+        if self._decreasing:
+            return Query.YES if self._raw_bound(effort) < q else Query.NOT_YET
         built = len(self._best)
         if effort < built:
             return Query.YES if self._best[effort] < q else Query.NOT_YET

@@ -267,6 +267,20 @@ TWO_POINTS = {"type": "finite", "n": 2, "d": [["0", "1"], ["1", "0"]]}
             "check": "member", "carrier": dict(TWO_POINTS, n=2.9),
             "u": [{"c": 0, "r": "1/2"}], "point": 0,
         })],
+        # a carrier object carries only the keys its type reads: no
+        # finite table read as the line, no misspelled "type", no strings
+        *(["ball-check", json.dumps({
+            "check": "member", "carrier": carrier,
+            "u": [{"c": 0, "r": "2"}], "point": 1,
+        })] for carrier in (
+            {"n": 2, "d": [["0", "5"], ["5", "0"]]},
+            {"kind": "finite", "n": 2, "d": [["0", "5"], ["5", "0"]]},
+            {"type": "line", "n": 2},
+            dict(TWO_POINTS, metric="max"),
+            {"type": ["finite"]},
+            "finite",
+            ["finite"],
+        )),
         ["admissible", json.dumps({"n": 2, "lowers": [[[0.9], "0"]], "uppers": []})],
         ["admissible", json.dumps({"n": 2, "lowers": [], "uppers": [[[1.5], "1"]]})],
         ["admissible", json.dumps({"n": 2, "lowers": [[[False], "0"]], "uppers": []})],
@@ -288,6 +302,22 @@ def test_contract_errors_exit_2_with_one_error_document(capsys, argv):
     out = capsys.readouterr().out
     assert code == 2
     assert out.count("\n") == 1 and set(json.loads(out)) == {"error"}
+
+
+def test_carrier_objects_are_read_by_their_type(capsys):
+    table = [["0", "5"], ["5", "0"]]
+    request = {"check": "member", "u": [{"c": 0, "r": "2"}], "point": 1}
+    for carrier, answer in (({"type": "finite", "n": 2, "d": table}, "NotYet"),
+                            ({"type": "line"}, "Yes"), ({}, "Yes"), (None, "Yes")):
+        payload = request if carrier is None else dict(request, carrier=carrier)
+        assert run_cli(capsys, "ball-check", json.dumps(payload)) == (
+            0, {"check": "member", "answer": answer})
+    code, payload = run_cli(capsys, "ball-check", json.dumps(
+        dict(request, carrier={"kind": "finite", "n": 2, "d": table})))
+    assert (code, payload) == (
+        2, {"error": "unknown keys for a line carrier: ['d', 'kind', 'n']"})
+    code, payload = run_cli(capsys, "ball-check", json.dumps(dict(request, carrier="finite")))
+    assert (code, payload) == (2, {"error": "carrier must be a JSON object"})
 
 
 def test_zero_denominator_error_names_the_text(capsys):

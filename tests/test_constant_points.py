@@ -7,13 +7,16 @@ is constant too.  ``member_query`` decides such a point from stage
 image.  Both are compared here with the loop over every stage, kept below
 as a reference, and with unflagged twins whose stages are the same element.
 Likewise ``diameter_upper`` over exact distances is a constant upper real,
-compared with the bound computed afresh at every effort.
+compared with the bound computed afresh at every effort, and
+``point_distance`` of two constant points at an exact distance reads one
+raw bound, compared with the minimum over every stage.
 """
 
 import gc
 from fractions import Fraction
 from unittest import mock
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -30,6 +33,7 @@ from formalballs.completion import (
     CompletionPoint,
     member_query,
     pair_point,
+    point_distance,
     point_of_carrier,
 )
 from formalballs.function_locale import MMInstance, check_axiom, round_trip
@@ -218,11 +222,14 @@ def _narrowing_line():
 
 
 FOUR_POINTS = finite_space(4, [[0, 1, 2, 3], [1, 0, 1, 2], [2, 1, 0, 1], [3, 2, 1, 0]])
+# name: (carrier, its elements, stage n of a moving point with limit x);
+# a finite point cannot move by 2^-n, so its moving twin is unflagged
 CARRIERS = {
-    "line": (LINE, offsets),
-    "finite": (FOUR_POINTS, st.integers(0, 3)),
-    "product": (product_space(LINE, FOUR_POINTS), st.tuples(offsets, st.integers(0, 3))),
-    "narrowing": (_narrowing_line(), offsets),
+    "line": (LINE, offsets, lambda x, n: x + half_pow(n + 1)),
+    "finite": (FOUR_POINTS, st.integers(0, 3), lambda x, _n: x),
+    "product": (product_space(LINE, FOUR_POINTS), st.tuples(offsets, st.integers(0, 3)),
+                lambda x, n: (x[0] - half_pow(n + 1), x[1])),
+    "narrowing": (_narrowing_line(), offsets, lambda x, n: x + half_pow(n + 1)),
 }
 
 
@@ -230,9 +237,86 @@ CARRIERS = {
 @given(st.data(), st.sampled_from(sorted(CARRIERS)), st.integers(0, 24),
        st.builds(Fraction, st.integers(1, 64), st.integers(1, 8)))
 def test_diameters_match_the_bound_at_every_effort(data, name, effort, q):
-    carrier, centers = CARRIERS[name]
+    carrier, centers, _ = CARRIERS[name]
     balls = data.draw(st.lists(st.tuples(centers, radii), min_size=1, max_size=4))
     u = BallOpen(carrier, tuple(FormalBall(c, r) for c, r in balls))
     want = reference_diameter(u, effort)
     assert diameter_upper(u).bound(effort) == want
     assert diameter_upper(u).less_than(q, effort).is_yes == (want < q)
+
+
+def reference_distance(p, q, effort):
+    """point_distance's bound by its rule: the minimum over n <= effort of
+    dist_hi(x_n, y_n) at effort n plus 2^(1-n)."""
+    return min(
+        p.carrier.dist(p.approx(n), q.approx(n), n).hi + half_pow(n - 1)
+        for n in range(effort + 1)
+    )
+
+
+def _point(name, x, moving):
+    carrier, _, move = CARRIERS[name]
+    if moving:
+        return CompletionPoint(carrier, lambda n: move(x, n))
+    return point_of_carrier(carrier, x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.sampled_from(sorted(CARRIERS)), st.booleans(), st.booleans(),
+       st.lists(st.integers(0, 40), min_size=1, max_size=6), st.integers(-2, 2))
+def test_distances_match_the_minimum_over_stages(data, name, p_moves, q_moves,
+                                                 efforts, k):
+    elements = CARRIERS[name][1]
+    x, y = data.draw(elements), data.draw(elements)
+    p, q = _point(name, x, p_moves), _point(name, y, q_moves)
+    shared = point_distance(p, q)  # queried in the drawn order
+    for e in efforts:
+        want = reference_distance(p, q, e)
+        assert point_distance(p, q).bound(e) == want
+        assert shared.bound(e) == want
+        threshold = want + k * half_pow(41)  # within 2^-40 of the bound
+        if threshold > 0:
+            assert point_distance(p, q).less_than(threshold, e).is_yes == (want < threshold)
+            assert shared.less_than(threshold, e).is_yes == (want < threshold)
+
+
+def _counted(d):
+    """The efforts at which d evaluates a raw bound, wrapped as the tracer does."""
+    calls = []
+    fn = d._fn
+    d._fn = lambda e: calls.append(e) or fn(e)
+    return calls
+
+
+@pytest.mark.parametrize("name, x, y", [
+    ("line", Fraction(1, 3), Fraction(-2)),
+    ("line", Fraction(5), Fraction(5)),
+    ("finite", 0, 3),
+    ("product", (Fraction(1, 2), 1), (Fraction(-1, 4), 2)),
+])
+def test_folded_distances_read_one_raw_bound_per_query(name, x, y):
+    p, q = _point(name, x, False), _point(name, y, False)
+    for e in range(41):
+        want = reference_distance(p, q, e)
+        for threshold in (want, want + half_pow(41)):
+            d = point_distance(p, q)
+            calls = _counted(d)
+            assert d.less_than(threshold, e).is_yes == (want < threshold)
+            assert calls == [e]
+        d = point_distance(p, q)
+        calls = _counted(d)
+        assert d.bound(e) == want and calls == [e]
+
+
+def test_distances_off_the_fold_take_every_stage():
+    # not exact at effort 0, or one point moving: a NotYet reads all stages
+    x, y = Fraction(1, 3), Fraction(-2)
+    for p, q in (
+        (_point("narrowing", x, False), _point("narrowing", y, False)),
+        (_point("line", x, False), _point("line", y, True)),
+        (_point("line", x, True), _point("line", y, False)),
+    ):
+        d = point_distance(p, q)
+        calls = _counted(d)
+        assert not d.less_than(reference_distance(p, q, 12), 12).is_yes
+        assert sorted(calls) == list(range(13))
