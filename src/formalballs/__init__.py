@@ -6,7 +6,7 @@ completion points and filters, certified maps, the presented locale of
 maps, exact real and complex points, and finite function-algebra duality.
 """
 
-from .numbers import INF, half_pow, parse_rational, rational_str
+from .numbers import half_pow, parse_rational, rational_str
 from .upper import Query, UpperReal
 from .carriers import (
     Interval,
@@ -21,7 +21,6 @@ from .carriers import (
 from .balls import (
     BallOpen,
     FormalBall,
-    ball,
     diameter_upper,
     is_positive,
     meet_witness,
@@ -32,13 +31,11 @@ from .completion import (
     CertificateError,
     CompletionPoint,
     FilterSeed,
-    apartness_query,
     limit_point,
     member_query,
     pair_point,
     point_distance,
     point_of_carrier,
-    proj_point,
     regularize,
     seed_member_query,
     seed_of_point,
@@ -51,11 +48,9 @@ from .maps import (
     ModulusFn,
     RegionError,
     apply_map,
-    classify_map,
     compose_maps,
     extend_by_density,
     identity_map,
-    limit_of_maps,
     line_map,
     lipschitz_line_map,
     pair_maps,
@@ -86,7 +81,6 @@ from .reals import (
     modulus_interval,
     mul_c,
     mul_r,
-    neg_c,
     neg_r,
     real_of_rational,
     scale_r,
@@ -101,7 +95,6 @@ from .gelfand import (
     cstar_identity_check,
     duality_round_trip,
     has_point,
-    in_unit_ball,
     is_admissible,
     spectrum_of_cn,
     sup_norm,

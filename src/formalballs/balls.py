@@ -58,10 +58,6 @@ class BallOpen:
         }
 
 
-def ball(center, radius) -> FormalBall:
-    return FormalBall(center, parse_rational(radius))
-
-
 def _require_same_carrier(u: BallOpen, v: BallOpen):
     if u.carrier.kind != v.carrier.kind:
         raise ValueError("ball opens over different carriers")

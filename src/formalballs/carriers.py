@@ -1,21 +1,21 @@
 """Carriers of pre-metric sets: decidable point sets with interval distances.
 
 Provided constructors: the rational line, finite spaces from a distance
-table, the Gaussian rationals (max metric on the two coordinates), and
-binary products (max metric).  Distances are returned as nested rational
-intervals indexed by effort; for the primitive carriers the interval is
-exact already at effort 0.
+table, binary products (max metric), and the Gaussian rationals (the
+product of two lines under its own kind).  Distances are returned as
+nested rational intervals indexed by effort; for the primitive carriers
+the interval is exact already at effort 0.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import lcm
 from typing import Any, Callable, Optional
 
-from .numbers import Bound, bmax, parse_int, parse_rational
+from .numbers import parse_int, parse_rational
 
 
 class MetricAxiomError(ValueError):
@@ -28,10 +28,10 @@ class MetricAxiomError(ValueError):
 
 @dataclass(frozen=True)
 class Interval:
-    """Rational interval [lo, hi]; hi may be INF."""
+    """Rational interval [lo, hi]."""
 
     lo: Fraction
-    hi: Bound
+    hi: Fraction
 
     def __post_init__(self):
         if self.hi < self.lo:
@@ -133,37 +133,13 @@ def finite_space_from_json(payload) -> MetricCarrier:
     return finite_space(parse_int(payload["n"]), payload["d"])
 
 
-def gaussian_rationals() -> MetricCarrier:
-    """Q[i] as pairs (re, im) under the max metric on coordinates."""
-
-    def dist(a, b, _effort):
-        return _exact(max(abs(a[0] - b[0]), abs(a[1] - b[1])))
-
-    def sample(rng: random.Random):
-        return (
-            Fraction(rng.randint(-16, 16), rng.choice([1, 2, 4])),
-            Fraction(rng.randint(-16, 16), rng.choice([1, 2, 4])),
-        )
-
-    def midpoint(a, b):
-        return ((a[0] + b[0]) / 2, (a[1] + b[1]) / 2)
-
-    return MetricCarrier(
-        kind=("gaussian",),
-        dist=dist,
-        contains=lambda x: isinstance(x, tuple) and len(x) == 2,
-        sample=sample,
-        midpoint=midpoint,
-    )
-
-
 def product_space(left: MetricCarrier, right: MetricCarrier) -> MetricCarrier:
     """Binary product under the max metric; elements are pairs."""
 
     def dist(a, b, effort):
         dl = left.dist(a[0], b[0], effort)
         dr = right.dist(a[1], b[1], effort)
-        return Interval(max(dl.lo, dr.lo), bmax(dl.hi, dr.hi))
+        return Interval(max(dl.lo, dr.lo), max(dl.hi, dr.hi))
 
     def sample(rng: random.Random):
         return (left.sample(rng), right.sample(rng))
@@ -189,3 +165,14 @@ def product_space(left: MetricCarrier, right: MetricCarrier) -> MetricCarrier:
         midpoint=midpoint,
         components=(left, right),
     )
+
+
+def gaussian_rationals() -> MetricCarrier:
+    """Q[i] as pairs (re, im) of rationals under the max metric.
+
+    The product of two rational lines under its own kind, so it shares the
+    product's checked ``contains``, ``dist`` and ``midpoint``.  It has no
+    ``components``: it is one carrier, not a product to project from.
+    """
+    line = rational_line()
+    return replace(product_space(line, line), kind=("gaussian",), components=None)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable
 
 from .balls import BallOpen, FormalBall, way_inside
 from .carriers import MetricCarrier, product_space
@@ -31,7 +31,7 @@ class CompletionPoint:
     ``value`` is the carrier element that every stage equals, for a point
     known to be constant when it is built, and None otherwise; None is
     never a carrier element.  ``point_of_carrier`` sets it, and so do
-    ``apply_map``, ``pair_point`` and ``proj_point`` on constant inputs.
+    ``apply_map`` and ``pair_point`` on constant inputs.
     """
 
     __slots__ = ("carrier", "_fn", "_stages", "_value")
@@ -123,39 +123,12 @@ def point_distance(p: CompletionPoint, q: CompletionPoint) -> UpperReal:
     return UpperReal(bound)
 
 
-def apartness_query(
-    p: CompletionPoint, q: CompletionPoint, effort: int
-) -> Optional[Fraction]:
-    """Certified positive lower bound on the distance, or None (not yet)."""
-    if p.carrier.kind != q.carrier.kind:
-        raise ValueError("points over different carriers")
-    carrier = p.carrier
-    best = None
-    for n in range(effort + 1):
-        lo = carrier.dist(p.approx(n), q.approx(n), n).lo - half_pow(n - 1)
-        if lo > 0 and (best is None or lo > best):
-            best = lo
-    return best
-
-
 def pair_point(p: CompletionPoint, q: CompletionPoint) -> CompletionPoint:
     """Componentwise point of the max-metric product of the two carriers."""
     prod = product_space(p.carrier, q.carrier)
     if p._value is not None and q._value is not None:
         return point_of_carrier(prod, (p._value, q._value))
     return CompletionPoint(prod, lambda n: (p.approx(n), q.approx(n)))
-
-
-def proj_point(r: CompletionPoint, side: int) -> CompletionPoint:
-    """Projection of a product-carrier point; side is 1 or 2."""
-    if r.carrier.components is None:
-        raise ValueError("not a product-carrier point")
-    if side not in (1, 2):
-        raise ValueError("side must be 1 or 2")
-    component = r.carrier.components[side - 1]
-    if r._value is not None:
-        return point_of_carrier(component, r._value[side - 1])
-    return CompletionPoint(component, lambda n: r.approx(n)[side - 1])
 
 
 def limit_point(

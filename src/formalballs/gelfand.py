@@ -25,7 +25,7 @@ from .reals import (
     modulus_interval,
     mul_c,
 )
-from .upper import Query, UpperReal
+from .upper import UpperReal
 
 
 @dataclass(frozen=True)
@@ -168,10 +168,6 @@ class AlgebraElement:
 
     values: tuple
 
-    @property
-    def n(self):
-        return len(self.values)
-
     @staticmethod
     def of_rationals(pairs) -> "AlgebraElement":
         return AlgebraElement(
@@ -219,17 +215,6 @@ def sup_norm_interval(a: AlgebraElement, n: int):
     return max(los), max(his)
 
 
-def in_unit_ball(a: AlgebraElement, q, effort: int) -> Query:
-    """Semi-decide that every coordinate modulus is strictly below q."""
-    q = parse_rational(q)
-    if q <= 0:
-        raise ValueError("radius must be positive")
-    for x in a.values:
-        if not modulus_c(x).less_than(q, effort).is_yes:
-            return Query.NOT_YET
-    return Query.YES
-
-
 def cstar_identity_check(a: AlgebraElement, bound: int, k: int) -> dict:
     """|norm(a* a) - norm(a)^2| below 2^-k via interval evaluation."""
     star_a = alg_mul(alg_star(a), a, bound)
@@ -245,17 +230,6 @@ def cstar_identity_check(a: AlgebraElement, bound: int, k: int) -> dict:
         "norm_aa": [rational_str(lo1), rational_str(hi1)],
         "norm_sq": [rational_str(lo_sq), rational_str(hi_sq)],
     }
-
-
-def submultiplicativity_check(
-    a: AlgebraElement, b: AlgebraElement, bound: int, effort: int
-) -> bool:
-    """norm(ab) < norm(a) upper * norm(b) upper + tolerance."""
-    ab = alg_mul(a, b, bound)
-    na = sup_norm(a).bound(effort)
-    nb = sup_norm(b).bound(effort)
-    tol = half_pow(max(4, effort // 2))
-    return sup_norm(ab).less_than(na * nb + tol, effort).is_yes
 
 
 # -- spectrum of the n-dimensional algebra ---------------------------------

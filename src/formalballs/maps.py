@@ -18,11 +18,9 @@ from .carriers import MetricCarrier, product_space, rational_line
 from .completion import (
     CertificateError,
     CompletionPoint,
-    limit_point,
     pair_point,
     point_distance,
     point_of_carrier,
-    apartness_query,
 )
 from .numbers import half_pow, parse_rational, stage_below
 
@@ -273,88 +271,3 @@ def extend_by_density(
                 if not d_img.less_than(eps, check_effort).is_yes:
                     raise CertificateError("modulus contract violated", (a, b, eps))
     return rep
-
-
-def classify_map(f: MapRep, samples, effort: int) -> dict:
-    """Report, per sampled source pair, whether the claimed class held.
-
-    Metric: image distance exceeds source distance only within tolerance
-    (refutation by apartness of images).  Uniform: modulus contract on
-    dyadic eps.  Isometric: additionally the reverse inequality.
-    """
-    tol = half_pow(max(4, effort // 4))
-    rows = []
-    all_ok = True
-    for a, b in samples:
-        fa = f.carrier_map(a)
-        fb = f.carrier_map(b)
-        d_src = f.source.dist(a, b, effort)
-        d_img = point_distance(fa, fb)
-        row = {"pair": [repr(a), repr(b)]}
-
-        if f.cls in (METRIC, ISOMETRIC):
-            ok = d_img.less_than(d_src.hi + tol, effort).is_yes
-            row["metric"] = ok
-        else:
-            ok = True
-            for k in range(1, 4):
-                eps = half_pow(k)
-                if d_src.hi < f.modulus(eps):
-                    ok = ok and d_img.less_than(eps, effort).is_yes
-            row["uniform"] = ok
-        if f.cls == ISOMETRIC and ok:
-            lower = apartness_query(fa, fb, effort)
-            if d_src.lo > tol:
-                rev = lower is not None and lower >= d_src.lo - tol
-                row["isometric"] = rev
-                ok = ok and rev
-        rows.append(row)
-        all_ok = all_ok and ok
-    return {"map": f.label, "class": f.cls, "pass": all_ok, "pairs": rows}
-
-
-def limit_of_maps(
-    seq: Callable[[int], MapRep],
-    modulus: Callable[[Fraction], int],
-    sample_points=None,
-    check_effort: int = 64,
-    rng: Optional[random.Random] = None,
-) -> MapRep:
-    """Pointwise limit of a uniformly Cauchy sequence of maps.
-
-    The uniform Cauchy certificate is spot-checked on sampled carrier
-    points; failure raises CertificateError with the witness.
-    """
-    first = seq(0)
-    if sample_points is None:
-        rng = rng or random.Random(0)
-        sample_points = [first.source.sample(rng) for _ in range(4)]
-    for i in range(2):
-        eps = half_pow(i)
-        k0 = modulus(eps)
-        for a in sample_points:
-            d = point_distance(seq(k0).carrier_map(a), seq(k0 + 1).carrier_map(a))
-            if not d.less_than(eps, check_effort).is_yes:
-                raise CertificateError(
-                    "uniform Cauchy certificate failed", (eps, k0, k0 + 1, a)
-                )
-
-    def carrier_map(x):
-        return limit_point(lambda k: seq(k).carrier_map(x), modulus, check_depth=0)
-
-    def lim_modulus(eps):
-        k = modulus(eps / 3)
-        return seq(k).modulus(eps / 3)
-
-    cls = first.cls
-    for k in (1, 2):
-        cls = cls if _CLASS_ORDER[cls] <= _CLASS_ORDER[seq(k).cls] else seq(k).cls
-
-    return MapRep(
-        source=first.source,
-        target=first.target,
-        carrier_map=carrier_map,
-        modulus=lim_modulus,
-        cls=cls,
-        label="limit",
-    )

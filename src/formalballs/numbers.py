@@ -1,80 +1,13 @@
-"""Exact rational scalars, the infinite bound value, and rational sqrt bounds.
+"""Exact rational scalars: parsing, printing, dyadic helpers, a sqrt bound.
 
-Every quantity in this library is either a ``fractions.Fraction`` or the
-absorbing infinity ``INF``.  No floats, ever.
+Every quantity in this library is a ``fractions.Fraction`` (or an int).
+No floats, ever.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import isqrt
-from typing import Union
-
-
-class Infinity:
-    """Absorbing +infinity bound value.  Singleton, compares above every Fraction."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "INF"
-
-    def __lt__(self, other):
-        return False
-
-    def __le__(self, other):
-        return isinstance(other, Infinity)
-
-    def __gt__(self, other):
-        return not isinstance(other, Infinity)
-
-    def __ge__(self, other):
-        return True
-
-    def __add__(self, other):
-        return self
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return self
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        raise ArithmeticError("cannot negate INF")
-
-    def __hash__(self):
-        return hash("formalballs-INF")
-
-
-INF = Infinity()
-
-#: A bound is either an exact rational or +infinity.
-Bound = Union[Fraction, Infinity]
-
-
-def is_inf(x: Bound) -> bool:
-    return isinstance(x, Infinity)
-
-
-def bmin(a: Bound, b: Bound) -> Bound:
-    if is_inf(a):
-        return b
-    if is_inf(b):
-        return a
-    return min(a, b)
-
-
-def bmax(a: Bound, b: Bound) -> Bound:
-    if is_inf(a) or is_inf(b):
-        return INF
-    return max(a, b)
 
 
 def half_pow(n: int) -> Fraction:
@@ -124,16 +57,8 @@ def parse_int(s) -> int:
     raise ValueError(f"not an integer: {s!r}")
 
 
-def parse_bound(s) -> Bound:
-    if isinstance(s, str) and s.strip().lower() == "inf":
-        return INF
-    return parse_rational(s)
-
-
-def rational_str(x: Bound) -> str:
-    """Serialize as "p/q"; INF as "inf"."""
-    if is_inf(x):
-        return "inf"
+def rational_str(x: Fraction) -> str:
+    """Serialize as "p/q"."""
     return f"{x.numerator}/{x.denominator}"
 
 
@@ -163,34 +88,14 @@ def decimal_str(x: Fraction, max_digits: int = 40) -> str:
         return f"{sign}{n}"
     whole, frac = divmod(n, 10 ** digits)
     frac_s = str(frac).rjust(digits, "0").rstrip("0")
-    if not frac_s:
-        return f"{sign}{whole}"
     return f"{sign}{whole}.{frac_s}"
-
-
-def sqrt_upper(x: Fraction, bits: int) -> Fraction:
-    """Rational r with r >= sqrt(x) and r - sqrt(x) <= 2^-bits, for x >= 0.
-
-    r = (isqrt(floor(x * 4^bits)) + 1) / 2^bits, computed as
-    ``isqrt((num << 2*bits) // den)`` on x = num/den (an int is num/1).
-    The floor depends on the rational only, not on the pair that
-    represents it, so ``modulus_interval`` may form it from an unnormalised
-    pair and get the same r.  Sign and zero are read off the numerator,
-    which is cheaper than a ``Fraction`` comparison.
-    """
-    num = x.numerator
-    if num < 0:
-        raise ValueError("sqrt of negative rational")
-    if not num:
-        return Fraction(0)
-    # ceil(sqrt(x) * 2^bits) <= isqrt(floor(x * 4^bits)) + 1
-    return Fraction(isqrt((num << 2 * bits) // x.denominator) + 1, 1 << bits)
 
 
 def sqrt_lower(x: Fraction, bits: int) -> Fraction:
     """Rational r with 0 <= r <= sqrt(x) and sqrt(x) - r <= 2^-bits.
 
-    r = isqrt(floor(x * 4^bits)) / 2^bits, in integers as in ``sqrt_upper``.
+    r = isqrt(floor(x * 4^bits)) / 2^bits, computed as
+    ``isqrt((num << 2*bits) // den)`` on x = num/den (an int is num/1).
     """
     num = x.numerator
     if num < 0:

@@ -213,10 +213,6 @@ def add_c(a: ComplexPoint, b: ComplexPoint) -> ComplexPoint:
     return ComplexPoint(add_r(a.re, b.re), add_r(a.im, b.im))
 
 
-def neg_c(a: ComplexPoint) -> ComplexPoint:
-    return ComplexPoint(neg_r(a.re), neg_r(a.im))
-
-
 def conj_c(a: ComplexPoint) -> ComplexPoint:
     return ComplexPoint(a.re, neg_r(a.im))
 
@@ -308,14 +304,15 @@ def dot_c(xs, ys, bound: int = None) -> ComplexPoint:
 def modulus_interval(a: ComplexPoint, n: int):
     """Two-sided rational enclosure of |a| with width about 2^-n.
 
-    With m = n + 2, stages x, y at m and err = 2^-m, the enclosure is
-    sqrt_lower(lo2, m + 2), sqrt_upper(hi2, m + 2) for
+    With m = n + 2, stages x, y at m and err = 2^-m, let
     hi2 = (|x| + err)^2 + (|y| + err)^2 and lo2 the same with each
-    |x| - err clamped at 0.  It is computed in integers: over the common
-    denominator L of x = u/b and y = v/d, |x| + err = hx / (L 2^m) with
-    hx = (|u| 2^m + b) L/b, so floor(hi2 4^(m+2)) = ((hx^2 + hy^2) << 4)
-    // L^2, a shift when L is a power of two, and the square-root bounds
-    read nothing else of hi2 (see ``sqrt_upper``).  The floor of a rational does not depend on the pair
+    |x| - err clamped at 0.  With s = 2^(m+2), the enclosure is
+    isqrt(floor(lo2 s^2)) / s and (isqrt(floor(hi2 s^2)) + 1) / s: below
+    and above the square roots, each within 1/s.  It is computed in
+    integers: over the common denominator L of x = u/b and y = v/d,
+    |x| + err = hx / (L 2^m) with hx = (|u| 2^m + b) L/b, so
+    floor(hi2 s^2) = ((hx^2 + hy^2) << 4) // L^2, a shift when L is a
+    power of two.  The floor of a rational does not depend on the pair
     that represents it, so the endpoints equal the ``Fraction`` formula's.
     """
     m = n + 2

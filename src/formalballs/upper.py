@@ -11,8 +11,6 @@ import enum
 from fractions import Fraction
 from typing import Callable
 
-from .numbers import INF, Bound, bmin, bmax, is_inf
-
 
 class Query(enum.Enum):
     YES = "yes"
@@ -30,7 +28,7 @@ class Query(enum.Enum):
 class UpperReal:
     """A point of the one-sided line of upper bounds.
 
-    ``bound_fn`` maps effort (a natural number) to a rational-or-INF upper
+    ``bound_fn`` maps effort (a natural number) to a rational upper
     bound.  Monotonicity is enforced internally: the effective bound at
     effort e is the minimum of the raw bounds at efforts 0..e, so Yes
     answers can never be retracted at higher effort.
@@ -56,21 +54,21 @@ class UpperReal:
     __slots__ = ("_fn", "_raw", "_best", "_value", "_decreasing")
 
     def __init__(
-        self, bound_fn: Callable[[int], Bound], value=None, decreasing=False
+        self, bound_fn: Callable[[int], Fraction], value=None, decreasing=False
     ):
         self._fn = bound_fn
-        self._raw: dict[int, Bound] = {}
-        self._best: list[Bound] = []
+        self._raw: dict[int, Fraction] = {}
+        self._best: list[Fraction] = []
         self._value = value
         self._decreasing = decreasing
 
-    def _raw_bound(self, e: int) -> Bound:
+    def _raw_bound(self, e: int) -> Fraction:
         raw = self._raw
         if e not in raw:
             raw[e] = self._fn(e)
         return raw[e]
 
-    def bound(self, effort: int) -> Bound:
+    def bound(self, effort: int) -> Fraction:
         if effort < 0:
             raise ValueError("effort must be >= 0")
         if self._value is not None:
@@ -81,7 +79,7 @@ class UpperReal:
         while len(best) <= effort:
             e = len(best)
             raw = self._raw_bound(e)
-            best.append(raw if e == 0 else bmin(best[-1], raw))
+            best.append(raw if e == 0 else min(best[-1], raw))
         return best[effort]
 
     def less_than(self, q: Fraction, effort: int) -> Query:
@@ -116,23 +114,6 @@ class UpperReal:
         if q < 0:
             raise ValueError("upper real of a negative rational")
         return UpperReal(lambda _e: q, q)
-
-    @staticmethod
-    def infinite() -> "UpperReal":
-        return UpperReal(lambda _e: INF)
-
-    # -- arithmetic (bound-wise, INF absorbing) ----------------------------
-
-    def add(self, other: "UpperReal") -> "UpperReal":
-        return UpperReal(lambda e: self.bound(e) + other.bound(e))
-
-    def max_with(self, other: "UpperReal") -> "UpperReal":
-        return UpperReal(lambda e: bmax(self.bound(e), other.bound(e)))
-
-    def scale(self, c: Fraction) -> "UpperReal":
-        if c <= 0:
-            raise ValueError("scale factor must be positive")
-        return UpperReal(lambda e: INF if is_inf(self.bound(e)) else c * self.bound(e))
 
     def __repr__(self):
         return f"UpperReal(bound0={self.bound(0)!r})"

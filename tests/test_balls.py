@@ -5,7 +5,6 @@ import pytest
 from formalballs.balls import (
     BallOpen,
     FormalBall,
-    ball,
     diameter_upper,
     is_positive,
     meet_witness,
@@ -25,7 +24,7 @@ def test_positive_radius_enforced():
     with pytest.raises(ValueError):
         FormalBall(Fraction(0), Fraction(0))
     with pytest.raises(ValueError):
-        ball(0, "-1/2")
+        FormalBall(Fraction(0), Fraction(-1, 2))
 
 
 def test_diameter_single_ball():

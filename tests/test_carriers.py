@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from formalballs.balls import BallOpen, FormalBall
 from formalballs.carriers import (
     MetricAxiomError,
     finite_space,
@@ -67,6 +68,20 @@ def test_gaussian_rationals_max_metric():
     g = gaussian_rationals()
     d = g.dist((Fraction(0), Fraction(0)), (Fraction(3), Fraction(4)), 0)
     assert d.hi == 4
+
+
+def test_gaussian_rationals_hold_only_pairs_of_rationals():
+    g = gaussian_rationals()
+    assert g.contains((Fraction(1, 2), -3))
+    assert g.midpoint((Fraction(0), Fraction(1)), (Fraction(1), Fraction(2))) == (
+        Fraction(1, 2), Fraction(3, 2))
+    for x in (("a", "b"), (Fraction(1), "b"), (0.5, 0), (1, 2, 3), [1, 2], 1):
+        assert not g.contains(x)
+        with pytest.raises(ValueError, match="is not a carrier element"):
+            BallOpen.of(g, FormalBall(x, Fraction(1)))
+    # one carrier, not a product: its own kind and no factors to project to
+    assert g.kind == ("gaussian",) and g.components is None
+    assert g.kind != product_space(rational_line(), rational_line()).kind
 
 
 def test_sampled_symmetry_and_triangle():

@@ -8,17 +8,16 @@ from formalballs.completion import (
     CertificateError,
     CompletionPoint,
     FilterSeed,
-    apartness_query,
     limit_point,
     member_query,
     pair_point,
     point_distance,
     point_of_carrier,
-    proj_point,
     regularize,
     seed_member_query,
     seed_of_point,
 )
+from formalballs.maps import apply_map, proj_map
 from formalballs.numbers import half_pow
 
 LINE = rational_line()
@@ -57,22 +56,14 @@ def test_point_distance_bounds():
     assert same.less_than(Fraction(1, 1000), 16).is_yes
 
 
-def test_apartness():
-    assert apartness_query(lpoint(0), lpoint(1), 8) >= Fraction(1, 2)
-    assert apartness_query(lpoint(2), lpoint(2), 32) is None
-    tiny = apartness_query(lpoint(0), lpoint(half_pow(10)), 10)
-    assert tiny is None
-    assert apartness_query(lpoint(0), lpoint(half_pow(10)), 16) > 0
-
-
 def test_pair_and_proj():
     r = pair_point(lpoint(0), lpoint(1))
     s = pair_point(lpoint(1), lpoint(1))
     assert point_distance(r, s).less_than(Fraction(11, 10), 8).is_yes
-    assert proj_point(r, 1).approx(5) == 0
-    assert proj_point(r, 2).approx(5) == 1
+    assert apply_map(proj_map(LINE, LINE, 1), r).approx(5) == 0
+    assert apply_map(proj_map(LINE, LINE, 2), r).approx(5) == 1
     with pytest.raises(ValueError):
-        proj_point(lpoint(0), 1)
+        apply_map(proj_map(LINE, LINE, 1), lpoint(0))
     assert point_distance(r, r).less_than(Fraction(1, 100), 10).is_yes
 
 

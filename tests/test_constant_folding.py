@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from formalballs.completion import CompletionPoint, point_of_carrier, proj_point
+from formalballs.completion import CompletionPoint, point_of_carrier
 from formalballs.maps import apply_map, compose_maps, line_map, pair_maps, proj_map
 from formalballs.reals import (
     LINE,
@@ -157,7 +157,6 @@ def test_images_of_constants_are_flagged_when_built_and_fold():
         apply_map(half, x),
         apply_map(compose_maps(line_map(1, 0), half), x),
         apply_map(proj_map(LINE, LINE, 1), pair),
-        proj_point(pair, 1),
     ]
     assert pair.is_constant and pair._stages == {}
     one = real_of_rational(1)

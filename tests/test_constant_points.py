@@ -31,6 +31,7 @@ from formalballs.carriers import (
 )
 from formalballs.completion import (
     CompletionPoint,
+    limit_point,
     member_query,
     pair_point,
     point_distance,
@@ -41,7 +42,6 @@ from formalballs.maps import (
     MapRep,
     apply_map,
     compose_maps,
-    limit_of_maps,
     line_map,
     pair_maps,
 )
@@ -124,18 +124,17 @@ def _late_turn(n):
 
 
 def _limit_map():
-    def seq(k):
-        c = 1 - half_pow(k)
-        return MapRep(
-            source=LINE,
-            target=LINE,
-            carrier_map=lambda x, c=c: point_of_carrier(LINE, c * x),
-            modulus=lambda eps: eps,
-            label=f"scale{k}",
-        )
-
+    """x -> the limit of (1 - 2^-k) x over k: its images are never constant."""
     modulus = lambda eps: max(4, (8 / eps).__ceil__().bit_length() + 2)
-    return limit_of_maps(seq, modulus, sample_points=[Fraction(1), Fraction(-2)])
+
+    def carrier_map(x):
+        seq = lambda k: point_of_carrier(LINE, (1 - half_pow(k)) * x)
+        return limit_point(seq, modulus, check_depth=0)
+
+    return MapRep(
+        source=LINE, target=LINE, carrier_map=carrier_map,
+        modulus=lambda eps: eps / 3, label="limit",
+    )
 
 
 def test_non_constant_carrier_map_results_keep_the_full_loop():

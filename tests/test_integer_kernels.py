@@ -1,6 +1,6 @@
 """Integer kernels of the reals layer against the Fraction formulas they replace.
 
-``modulus_interval``, ``sqrt_lower``/``sqrt_upper``, ``_certify_bound`` and
+``modulus_interval``, ``sqrt_lower``, ``_certify_bound`` and
 the per-stage bound check of ``mul_r`` compute on integer numerators and
 denominators.  Each is compared here with the ``Fraction`` formula it
 replaced, kept below as a reference: equal results by repr (so equal
@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from formalballs.completion import CompletionPoint, point_of_carrier
-from formalballs.numbers import half_pow, sqrt_lower, sqrt_upper
+from formalballs.numbers import half_pow, sqrt_lower
 from formalballs.reals import (
     LINE,
     BoundViolation,
@@ -122,7 +122,7 @@ def test_modulus_interval_reads_stages_that_vary_with_n(x, y, n):
     assert outcome(modulus_interval, a, n) == outcome(ref_modulus_interval, a, n)
 
 
-# -- sqrt_lower / sqrt_upper ---------------------------------------------------
+# -- sqrt_lower ------------------------------------------------------------------
 
 
 @settings(max_examples=300, deadline=None)
@@ -137,14 +137,12 @@ def test_modulus_interval_reads_stages_that_vary_with_n(x, y, n):
 @example(Fraction(2, 3 ** 50), 1024)
 def test_sqrt_bounds_match_the_fraction_formula(x, bits):
     assert outcome(sqrt_lower, x, bits) == outcome(ref_sqrt_lower, x, bits)
-    assert outcome(sqrt_upper, x, bits) == outcome(ref_sqrt_upper, x, bits)
 
 
 def test_sqrt_of_a_negative_raises_the_same_error():
     for x in (-1, Fraction(-1, 2 ** 80), Fraction(-7, 3)):
-        for fn in (sqrt_lower, sqrt_upper):
-            with pytest.raises(ValueError, match="^sqrt of negative rational$"):
-                fn(x, 10)
+        with pytest.raises(ValueError, match="^sqrt of negative rational$"):
+            sqrt_lower(x, 10)
 
 
 # -- certification -------------------------------------------------------------

@@ -20,11 +20,9 @@ from formalballs.maps import (
     ModulusFn,
     RegionError,
     apply_map,
-    classify_map,
     compose_maps,
     extend_by_density,
     identity_map,
-    limit_of_maps,
     line_map,
 )
 from formalballs.numbers import half_pow
@@ -161,6 +159,16 @@ def test_extend_by_density_detects_bad_modulus():
         )
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "FOUND: the default sample pairs of extend_by_density on the line are "
+    "9/4 to 45/2 apart, farther than every eta <= 1, so no image distance "
+    "is checked"))
+def test_extend_by_density_default_sampling_detects_bad_modulus():
+    # the same wrong modulus as above, with the pairs left to the default
+    with pytest.raises(CertificateError):
+        extend_by_density(LINE, LINE, lambda x: 4 * x, lambda eps: eps)
+
+
 def test_extension_uniqueness_on_probe():
     f1 = extend_by_density(
         LINE, LINE, lambda x: x / 2, lambda eps: eps, rng=random.Random(0)
@@ -171,57 +179,6 @@ def test_extension_uniqueness_on_probe():
     p = lpoint("7/3")
     d = point_distance(apply_map(f1, p), apply_map(f2, p))
     assert d.less_than(half_pow(20), 40).is_yes
-
-
-def test_classify_metric_pass_and_fail():
-    samples = [(Fraction(0), Fraction(1)), (Fraction(-2), Fraction(3))]
-    rep = classify_map(half_map(), samples, 16)
-    assert rep["pass"]
-    bad = MapRep(
-        source=LINE,
-        target=LINE,
-        carrier_map=lambda x: point_of_carrier(LINE, 2 * x),
-        modulus=lambda eps: eps,
-        cls=METRIC,
-        label="double-as-metric",
-    )
-    rep = classify_map(bad, samples, 16)
-    assert not rep["pass"]
-
-
-def test_classify_isometric():
-    rep = classify_map(
-        shift_map(10), [(Fraction(0), Fraction(1)), (Fraction(2), Fraction(5))], 16
-    )
-    assert rep["pass"]
-
-
-def test_limit_of_maps():
-    def seq(k):
-        c = 1 - half_pow(k)
-        return MapRep(
-            source=LINE,
-            target=LINE,
-            carrier_map=lambda x, c=c: point_of_carrier(LINE, c * x),
-            modulus=lambda eps: eps,
-            cls=METRIC,
-            label=f"scale{k}",
-        )
-
-    samples = [Fraction(1), Fraction(-2), Fraction(1, 2), Fraction(3)]
-    modulus = lambda eps: max(4, (8 / eps).__ceil__().bit_length() + 2)
-    lim = limit_of_maps(seq, modulus, sample_points=samples)
-    for x in samples:
-        d = point_distance(apply_map(lim, lpoint(x)), lpoint(x))
-        assert d.less_than(half_pow(10), 24).is_yes
-
-
-def test_limit_of_maps_bad_certificate():
-    def seq(k):
-        return shift_map(k)
-
-    with pytest.raises(CertificateError):
-        limit_of_maps(seq, lambda _eps: 0, sample_points=[Fraction(0)])
 
 
 @pytest.mark.parametrize(

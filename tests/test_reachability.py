@@ -1,0 +1,140 @@
+"""Every library function is reached by the traffic the library exists for.
+
+The traffic is ``formalballs law-suite --seed 0``, every ``formalballs``
+line of the README's command examples, the five demos, and the first
+period of each benchmark workload at seed 1 (``setup(1)``, then each
+operation of ``period(1, 0)`` run and checked as ``bench/run.py`` does).
+The scan records the code object of every call under ``sys.settrace`` and
+lists each module-level function, method, staticmethod and property
+defined in ``src/formalballs/*.py`` that was never called.  That list must
+equal ``ALLOWED``: a function outside it is either reached or deleted.
+
+The scan runs in a subprocess (``python tests/test_reachability.py``), so
+the trace hook and the ``bench/`` imports stay out of the test process.
+"""
+
+import contextlib
+import io
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+ALLOWED = {
+    "carriers.MetricAxiomError.__init__": "failure path: a table breaks a metric axiom",
+    "carriers.MetricCarrier.__repr__": "debugging aid",
+    "carriers.gaussian_rationals": "bench/tracing.py wraps it by name",
+    "cli._Parser.error": "failure path: an argparse usage error",
+    "completion.CompletionPoint.to_json": "failure path: a round-trip violation",
+    "gelfand._basic_open_json": "failure path: a failed admissibility witness",
+    "upper.UpperReal.__repr__": "debugging aid",
+}
+
+
+def _defined_code(modules):
+    """Code object -> "module.qualname" for each function the modules define."""
+    found = {}
+    for mod in modules:
+        short = mod.__name__.rsplit(".", 1)[1]
+
+        def add(fn):
+            code = getattr(fn, "__code__", None)
+            if code is not None and code.co_filename == mod.__file__:
+                found[code] = f"{short}.{code.co_qualname}"
+
+        for obj in vars(mod).values():
+            if getattr(obj, "__module__", None) != mod.__name__:
+                continue
+            if isinstance(obj, type):
+                for attr in vars(obj).values():
+                    if isinstance(attr, (staticmethod, classmethod)):
+                        add(attr.__func__)
+                    elif isinstance(attr, property):
+                        for fn in (attr.fget, attr.fset, attr.fdel):
+                            add(fn)
+                    else:
+                        add(attr)
+            else:
+                add(obj)
+    return found
+
+
+def _readme_commands():
+    """argv lists of the ``formalballs`` lines in the README's code blocks."""
+    import shlex
+
+    commands, in_block = [], False
+    for line in (ROOT / "README.md").read_text().splitlines():
+        if line.startswith("```"):
+            in_block = not in_block
+        elif in_block and line.startswith("formalballs "):
+            commands.append(shlex.split(line)[1:])
+    return commands
+
+
+def _run_traffic():
+    import runpy
+
+    from formalballs import cli
+
+    commands = [["law-suite", "--seed", "0"]]
+    commands += [argv for argv in _readme_commands() if argv not in commands]
+    for argv in commands:
+        cli.main(argv)
+    for demo in sorted((ROOT / "demos").glob("0*.py")):
+        runpy.run_path(str(demo), run_name="__main__")
+    import workloads
+
+    for wl in workloads.WORKLOADS.values():
+        ctx = wl.setup(1)
+        for spec in wl.period(1, 0):
+            try:
+                answer = wl.run(ctx, spec)
+                wl.check(spec, answer)
+            except Exception:  # failed operations are traffic too
+                pass
+
+
+def scan():
+    """Names of the library functions that the traffic never calls."""
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+    import importlib
+    import pkgutil
+
+    import formalballs
+
+    modules = [
+        importlib.import_module(f"formalballs.{info.name}")
+        for info in pkgutil.iter_modules(formalballs.__path__)
+    ]
+    defined = _defined_code(modules)
+    called = set()
+
+    def trace(frame, _event, _arg, add=called.add):
+        add(frame.f_code)  # returns None: no line events inside the frame
+
+    sys.settrace(trace)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            _run_traffic()
+    finally:
+        sys.settrace(None)
+    return sorted(name for code, name in defined.items() if code not in called)
+
+
+def test_every_library_function_is_reached_or_allowed():
+    done = subprocess.run(
+        [sys.executable, __file__], cwd=ROOT, capture_output=True, text=True,
+        timeout=120, env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
+    )
+    assert done.returncode == 0, done.stderr
+    unreached = json.loads(done.stdout.strip().splitlines()[-1])
+    assert unreached == sorted(ALLOWED)
+    assert all(reason.strip() for reason in ALLOWED.values())
+
+
+if __name__ == "__main__":
+    print(json.dumps(scan()))

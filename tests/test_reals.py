@@ -17,7 +17,6 @@ from formalballs.reals import (
     modulus_interval,
     mul_c,
     mul_r,
-    neg_c,
     neg_r,
     real_of_rational,
     scale_r,
@@ -92,8 +91,6 @@ def test_conj_involution():
     z = complex_of_rational(Fraction(3, 4), Fraction(-2, 5))
     w = conj_c(conj_c(z))
     assert w.approx(20) == z.approx(20)
-    nz = neg_c(z)
-    assert nz.approx(10) == (Fraction(-3, 4), Fraction(2, 5))
 
 
 def test_modulus_three_four_five():
