@@ -46,7 +46,6 @@ from .maps import (
     UNIFORM,
     MapRep,
     ModulusFn,
-    RegionError,
     apply_map,
     compose_maps,
     extend_by_density,

@@ -77,7 +77,7 @@ def rational_line() -> MetricCarrier:
     return MetricCarrier(
         kind=("line",),
         dist=dist,
-        contains=lambda x: isinstance(x, (int, Fraction)),
+        contains=lambda x: type(x) is not bool and isinstance(x, (int, Fraction)),
         sample=sample,
         midpoint=midpoint,
     )
@@ -122,7 +122,7 @@ def finite_space(n: int, table) -> MetricCarrier:
     return MetricCarrier(
         kind=("finite", frozen),
         dist=dist,
-        contains=lambda x: isinstance(x, int) and 0 <= x < n,
+        contains=lambda x: type(x) is not bool and isinstance(x, int) and 0 <= x < n,
         sample=lambda rng: rng.randrange(n),
         points=tuple(range(n)),
     )

@@ -25,7 +25,7 @@ from .balls import (
 )
 from .carriers import finite_space_from_json, rational_line
 from .completion import member_query, pair_point, point_of_carrier
-from .function_locale import MMInstance, check_axiom
+from .function_locale import RATIONAL_PARTS, MMInstance, check_axiom
 from .gelfand import (
     AlgebraElement,
     FiniteDiscreteSpace,
@@ -336,7 +336,7 @@ def _cmd_mm_check(args):
     f = parse_map_expr(payload.get("map", "id"))
     data = {}
     for key, value in payload.get("parts", {}).items():
-        if key in ("q", "q1", "q2"):
+        if key in RATIONAL_PARTS:
             data[key] = parse_rational(value)
         else:
             data[key] = _open_from_json(LINE, value)

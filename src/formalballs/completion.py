@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .balls import BallOpen, FormalBall, way_inside
+from .balls import BallOpen, FormalBall, meet_witness, way_inside
 from .carriers import MetricCarrier, product_space
 from .numbers import half_pow
 from .upper import Query, UpperReal
@@ -134,25 +134,24 @@ def pair_point(p: CompletionPoint, q: CompletionPoint) -> CompletionPoint:
 def limit_point(
     seq: Callable[[int], CompletionPoint],
     modulus: Callable[[Fraction], int],
-    check_depth: int = 2,
-    check_effort: int = 64,
 ) -> CompletionPoint:
     """Limit of a Cauchy sequence of points with a convergence modulus.
 
     modulus(eps) is a stage index k0 with pointDistance(seq k, seq l) < eps
-    for all k, l >= k0.  The certificate is spot-checked on a few dyadic
-    eps; a violation raises CertificateError with the failing (eps, k, l).
+    for all k, l >= k0.  The certificate is spot-checked at eps 1 and 1/2,
+    on the pairs (k0, k0 + 1) and (k0, k0 + 2), reading distances at effort
+    64; a violation raises CertificateError with the failing (eps, k, l).
     """
     first = seq(0)
     carrier = first.carrier
 
-    for i in range(check_depth):
+    for i in range(2):
         eps = half_pow(i)
         k0 = modulus(eps)
         pairs = [(k0, k0 + 1), (k0, k0 + 2)]
         for k, l in pairs:
             d = point_distance(seq(k), seq(l))
-            if not d.less_than(eps, check_effort).is_yes:
+            if not d.less_than(eps, 64).is_yes:
                 raise CertificateError(
                     "Cauchy certificate failed", (eps, k, l)
                 )
@@ -192,8 +191,6 @@ def regularize(f: FilterSeed, effort: int = 32) -> FilterSeed:
     Checks the meet-compatibility of the generators first (reporting the
     failing pair), and is idempotent: a regular seed is returned unchanged.
     """
-    from .balls import meet_witness
-
     if f.regular:
         return f
     gens = [g for g in f.generators if g.balls]

@@ -25,7 +25,17 @@ PASS = "Pass"
 INCONCLUSIVE = "Inconclusive"
 FAIL = "Fail"
 
-_AXIOMS = ("MM1", "MM2", "MM3", "MM4", "MM5", "MM6")
+# the part names of each presentation axiom's instances; RATIONAL_PARTS are
+# positive rationals, every other part a non-empty ball open
+MM_PARTS = {
+    "MM1": ("u_small", "v_small", "u", "v"),
+    "MM2": ("u", "v", "q"),
+    "MM3": ("u", "q"),
+    "MM4": ("u", "v"),
+    "MM5": ("w1", "w2", "tau", "q1", "q2", "v1", "v2", "v1p", "v2p"),
+    "MM6": ("u", "v", "vp"),
+}
+RATIONAL_PARTS = ("q", "q1", "q2")
 
 
 @dataclass(frozen=True)
@@ -82,11 +92,8 @@ def _holds_witness(
 class MMInstance:
     """One concrete instance of a presentation axiom.
 
-    ``data`` maps the axiom's part names to ball opens and rationals:
-      MM1: u_small, v_small, u, v        MM2: u, v, q
-      MM3: u, q                          MM4: u, v
-      MM5: w1, w2, tau, q1, q2, v1, v2, v1p, v2p
-      MM6: u, v, vp
+    ``data`` maps each of the axiom's part names in ``MM_PARTS`` to a
+    rational (the ``RATIONAL_PARTS``) or a ball open (the rest).
     """
 
     axiom: str
@@ -107,24 +114,21 @@ def _contained(small: BallOpen, big: BallOpen, effort: int) -> bool:
     return True
 
 
-def validate_instance(inst: MMInstance, effort: int = 16) -> None:
-    """Reject malformed instances (missing parts or failed side conditions)."""
-    if inst.axiom not in _AXIOMS:
+def validate_instance(inst: MMInstance) -> None:
+    """Reject malformed instances (missing parts or failed side conditions).
+
+    The side conditions of MM1 and MM5 are established at effort 16.
+    """
+    need = MM_PARTS.get(inst.axiom) if isinstance(inst.axiom, str) else None
+    if need is None:
         raise ValueError(f"unknown axiom tag {inst.axiom!r}")
-    need = {
-        "MM1": ("u_small", "v_small", "u", "v"),
-        "MM2": ("u", "v", "q"),
-        "MM3": ("u", "q"),
-        "MM4": ("u", "v"),
-        "MM5": ("w1", "w2", "tau", "q1", "q2", "v1", "v2", "v1p", "v2p"),
-        "MM6": ("u", "v", "vp"),
-    }[inst.axiom]
     for key in need:
         if key not in inst.data:
             raise ValueError(f"{inst.axiom} instance missing part {key!r}")
     d = inst.data
+    effort = 16
     for key in need:
-        if key in ("q", "q1", "q2"):
+        if key in RATIONAL_PARTS:
             if parse_rational(d[key]) <= 0:
                 raise ValueError(f"{inst.axiom}: {key} must be positive")
         elif not d[key].balls:

@@ -122,41 +122,23 @@ def admissibility_theorem_check(
         adm = is_admissible(b, space)
         f = has_point(b, space)
         if adm != (f is not None):
-            return {
-                "result": "Fail",
-                "checked": checked,
-                "witness": _basic_open_json(b),
-                "admissible": adm,
-                "has_point": f is not None,
-            }
+            return _failure(checked, b, admissible=adm, has_point=f is not None)
         if f is not None:
-            for s, u in b.lowers:
-                for x in s:
-                    if not f(x) < u:
-                        return {
-                            "result": "Fail",
-                            "checked": checked,
-                            "witness": _basic_open_json(b),
-                            "reason": f"witness violates f({x}) < {u}",
-                        }
-            for s, v in b.uppers:
-                for x in s:
-                    if not f(x) > v:
-                        return {
-                            "result": "Fail",
-                            "checked": checked,
-                            "witness": _basic_open_json(b),
-                            "reason": f"witness violates f({x}) > {v}",
-                        }
+            broken = [f"f({x}) < {u}" for s, u in b.lowers for x in s if not f(x) < u]
+            broken += [f"f({x}) > {v}" for s, v in b.uppers for x in s if not f(x) > v]
+            if broken:
+                return _failure(checked, b, reason=f"witness violates {broken[0]}")
         checked += 1
     return {"result": "Pass", "checked": checked}
 
 
-def _basic_open_json(b: BasicOpenXR) -> dict:
-    return {
+def _failure(checked: int, b: BasicOpenXR, **detail) -> dict:
+    """The Fail report for instance b, after ``checked`` passing instances."""
+    witness = {
         "lowers": [[sorted(s), rational_str(q)] for s, q in b.lowers],
         "uppers": [[sorted(s), rational_str(q)] for s, q in b.uppers],
     }
+    return {"result": "Fail", "checked": checked, "witness": witness, **detail}
 
 
 # -- the finite function C* algebra ---------------------------------------
@@ -351,12 +333,13 @@ def verify_character(chi: Character, samples, bound: int, k: int) -> dict:
     return verify_spectrum([chi], samples, bound, k)[0]
 
 
-def duality_round_trip(n: int, k: int, samples=None, bound: int = 8) -> dict:
+def duality_round_trip(n: int, k: int) -> dict:
     """Spectrum points biject with the space and evaluation preserves norm.
 
-    Characters are separated by idempotents; applying every character to a
-    sampled element recovers its coordinates, so the evaluation map back
-    into the n-dimensional algebra is the identity and norm-preserving.
+    Characters are separated by idempotents; applying every character to
+    the sample element with coordinates (j + 1)/2 + (-1)^j i recovers its
+    coordinates, so the evaluation map back into the n-dimensional algebra
+    is the identity and norm-preserving.
     """
     chars = spectrum_of_cn(n)
     report = {"n": n, "k": k, "characters": len(chars)}
@@ -374,28 +357,18 @@ def duality_round_trip(n: int, k: int, samples=None, bound: int = 8) -> dict:
                     {"law": "separation by idempotents", "witness": f"chi{i},e{j}"}
                 )
 
-    if samples is None:
-        samples = [
-            AlgebraElement.of_rationals(
-                [(Fraction(j + 1, 2), Fraction((-1) ** j)) for j in range(n)]
-            )
-        ]
-    for a in samples:
-        recovered = AlgebraElement(tuple(chi.apply(a) for chi in chars))
-        lo1, hi1 = sup_norm_interval(a, k + 4)
-        lo2, hi2 = sup_norm_interval(recovered, k + 4)
-        if max(hi1 - lo2, hi2 - lo1) >= half_pow(k):
-            failures.append(
-                {
-                    "law": "norm preservation",
-                    "witness": [rational_str(hi1), rational_str(hi2)],
-                }
-            )
-        for i in range(n):
-            if not _is_query_equal(recovered.values[i], a.values[i], k):
-                failures.append(
-                    {"law": "evaluation round trip", "witness": f"coord {i}"}
-                )
+    a = AlgebraElement.of_rationals(
+        [(Fraction(j + 1, 2), Fraction((-1) ** j)) for j in range(n)]
+    )
+    recovered = AlgebraElement(tuple(chi.apply(a) for chi in chars))
+    lo1, hi1 = sup_norm_interval(a, k + 4)
+    lo2, hi2 = sup_norm_interval(recovered, k + 4)
+    if max(hi1 - lo2, hi2 - lo1) >= half_pow(k):
+        witness = [rational_str(hi1), rational_str(hi2)]
+        failures.append({"law": "norm preservation", "witness": witness})
+    for i in range(n):
+        if not _is_query_equal(recovered.values[i], a.values[i], k):
+            failures.append({"law": "evaluation round trip", "witness": f"coord {i}"})
 
     report["result"] = "Pass" if not failures else "Fail"
     report["failures"] = failures

@@ -80,10 +80,10 @@ def random_finite_space(rng: random.Random, max_n: int = 8):
     return finite_space(n, d)
 
 
-def random_open(rng: random.Random, carrier: MetricCarrier, max_balls=3):
+def random_open(rng: random.Random, carrier: MetricCarrier):
     balls = tuple(
         FormalBall(rng.choice(carrier.points), Fraction(rng.randint(1, 32), 4))
-        for _ in range(rng.randint(1, max_balls))
+        for _ in range(rng.randint(1, 3))
     )
     return BallOpen(carrier, balls)
 
@@ -114,8 +114,9 @@ def oracle_fatten(carrier: MetricCarrier, pts, q: Fraction) -> frozenset:
     )
 
 
-def law_ball_calculus(seed: int, spaces: int = 200, effort: int = 8) -> dict:
+def law_ball_calculus(seed: int, spaces: int = 200) -> dict:
     rng = random.Random(seed)
+    effort = 8
     failures = []
     checked = 0
     for _ in range(spaces):
@@ -239,8 +240,9 @@ def law_completion_metric(seed: int, triples: int = 500) -> dict:
 # -- regularization --------------------------------------------------------
 
 
-def law_regularization(seed: int, count: int = 100, effort: int = 64) -> dict:
+def law_regularization(seed: int, count: int = 100) -> dict:
     rng = random.Random(seed)
+    effort = 64
     failures = []
     for idx in range(count):
         if idx % 2 == 0:
@@ -312,13 +314,14 @@ def random_real_expr(rng: random.Random, depth: int):
     return add_r(lp, rp), lv + rv, f"add({ls},{rs})"
 
 
-def law_exact_reals(seed: int, count: int = 1000, bits: int = 30) -> dict:
+def law_exact_reals(seed: int, count: int = 1000) -> dict:
+    """Each expression read at 30 bits lies within 2^-30 of its exact value."""
     rng = random.Random(seed)
     failures = []
     for idx in range(count):
         p, exact, text = random_real_expr(rng, rng.randint(1, 6))
-        got = p.approx(bits)
-        if abs(got - exact) > half_pow(bits):
+        got = p.approx(30)
+        if abs(got - exact) > half_pow(30):
             failures.append({"expr": text, "index": idx})
     return _report("exact-reals", failures, count)
 
@@ -326,9 +329,7 @@ def law_exact_reals(seed: int, count: int = 1000, bits: int = 30) -> dict:
 # -- extension by density: uniqueness of the extension ---------------------
 
 
-def law_extension_uniqueness(
-    seed: int, count: int = 50, probes: int = 20, effort: int = 48
-) -> dict:
+def law_extension_uniqueness(seed: int, count: int = 50, probes: int = 20) -> dict:
     rng = random.Random(seed)
     failures = []
     for idx in range(count):
@@ -349,7 +350,7 @@ def law_extension_uniqueness(
                 point_of_carrier(LINE, base)
             )
             d = point_distance(apply_map(exts[0], p), apply_map(exts[1], p))
-            if not d.less_than(half_pow(20), effort).is_yes:
+            if not d.less_than(half_pow(20), 48).is_yes:
                 failures.append({"index": idx, "probe": rational_str(base)})
                 break
     return _report("extension-uniqueness", failures, count)
@@ -368,20 +369,20 @@ def standard_metric_maps():
     return [line_map(a, b) for a, b in coeffs]
 
 
-def _dyadic(rng: random.Random, span=4, den=4) -> Fraction:
-    return Fraction(rng.randint(-span * den, span * den), den)
+def _dyadic(rng: random.Random) -> Fraction:
+    """A quarter-integer in [-4, 4]."""
+    return Fraction(rng.randint(-16, 16), 4)
 
 
 def random_mm_instance(rng: random.Random) -> MMInstance:
     axiom = rng.choice(["MM1", "MM2", "MM3", "MM4", "MM5", "MM6"])
 
-    def rand_open(k=None):
-        k = k or rng.randint(1, 2)
+    def rand_open():
         return BallOpen(
             LINE,
             tuple(
                 FormalBall(_dyadic(rng), Fraction(rng.randint(1, 16), 4))
-                for _ in range(k)
+                for _ in range(rng.randint(1, 2))
             ),
         )
 
@@ -440,14 +441,11 @@ def random_mm_instance(rng: random.Random) -> MMInstance:
 
 
 def law_function_locale(
-    seed: int,
-    maps=None,
-    instances: int = 50,
-    effort: int = 32,
-    rt_effort: int = 64,
+    seed: int, instances: int = 50, effort: int = 32, rt_effort: int = 64
 ) -> dict:
+    """Axiom checks and round trips on each of ``standard_metric_maps``."""
     rng = random.Random(seed)
-    maps = maps if maps is not None else standard_metric_maps()
+    maps = standard_metric_maps()
     failures = []
     checked = 0
     for f in maps:
@@ -472,20 +470,20 @@ def law_function_locale(
     )
 
 
-def coverage_probes(f: MapRep, count: int = 10):
-    """Dyadic probes whose images sit in b(0,2) with a healthy margin."""
+def coverage_probes(f: MapRep):
+    """Ten dyadic probes whose images sit in b(0,2) with a healthy margin."""
     # recover the affine coefficients from two carrier images
     y0 = f.carrier_map(Fraction(0)).approx(0)
     y1 = f.carrier_map(Fraction(1)).approx(0)
     a = y1 - y0
     if a == 0:
-        return [Fraction(k, 4) for k in range(-count // 2, count - count // 2)]
+        return [Fraction(k, 4) for k in range(-5, 5)]
     lo = (-1 - y0) / a
     hi = (1 - y0) / a
     lo, hi = min(lo, hi), max(lo, hi)
-    step = (hi - lo) / (count + 1)
+    step = (hi - lo) / 11
     out = []
-    for k in range(1, count + 1):
+    for k in range(1, 11):
         x = lo + k * step
         # snap to the dyadic grid so membership margins stay healthy
         out.append(Fraction(round(x * 16), 16))
@@ -495,10 +493,12 @@ def coverage_probes(f: MapRep, count: int = 10):
 # -- finite duality --------------------------------------------------------
 
 
-def random_basic_open(rng: random.Random, n: int, max_each: int = 2) -> BasicOpenXR:
+def random_basic_open(rng: random.Random, n: int) -> BasicOpenXR:
+    """At most two lower and two upper constraints on random subsets."""
+
     def constraints():
         out = []
-        for _ in range(rng.randint(0, max_each)):
+        for _ in range(rng.randint(0, 2)):
             s = frozenset(x for x in range(n) if rng.random() < 0.5)
             out.append((s, Fraction(rng.randint(-4, 4), 2)))
         return out
@@ -506,8 +506,8 @@ def random_basic_open(rng: random.Random, n: int, max_each: int = 2) -> BasicOpe
     return BasicOpenXR.of(constraints(), constraints())
 
 
-def enumerate_basic_opens(n: int, grid=(-2, -1, 0, 1, 2), max_each: int = 2):
-    """Every instance with at most max_each lower and upper constraints."""
+def enumerate_basic_opens(n: int, grid=(-2, -1, 0, 1, 2)):
+    """Every instance with at most two lower and two upper constraints."""
     from itertools import combinations
 
     subsets = []
@@ -515,7 +515,7 @@ def enumerate_basic_opens(n: int, grid=(-2, -1, 0, 1, 2), max_each: int = 2):
         subsets.append(frozenset(i for i in range(n) if mask >> i & 1))
     pairs = [(s, Fraction(g)) for s in subsets for g in grid]
     sides = [()]
-    for k in range(1, max_each + 1):
+    for k in (1, 2):
         sides.extend(combinations(pairs, k))
     for lowers in sides:
         for uppers in sides:
@@ -527,13 +527,14 @@ def law_gelfand(
     random_n3: int = 1000,
     cstar_samples: int = 20,
     max_spec_n: int = 4,
-    exhaustive_n: int = 2,
 ) -> dict:
+    """Admissibility of every small instance for n = 1, 2 and of random ones
+    for n = 3, spectra up to max_spec_n points, and the C* identity."""
     rng = random.Random(seed)
     failures = []
     checked = 0
 
-    for n in range(1, exhaustive_n + 1):
+    for n in (1, 2):
         rep = admissibility_theorem_check(
             FiniteDiscreteSpace(n), enumerate_basic_opens(n)
         )

@@ -32,9 +32,9 @@ _CLASS_ORDER = {ISOMETRIC: 2, METRIC: 1, UNIFORM: 0}
 
 LINE = rational_line()
 
-
-class RegionError(ValueError):
-    """A map was applied outside its declared bounded region."""
+# extend_by_density spot-checks its modulus at these eps, at this effort
+_EXT_CHECK_EPS = (Fraction(1), Fraction(1, 2), Fraction(1, 4))
+_EXT_CHECK_EFFORT = 64
 
 
 class ModulusFn:
@@ -100,7 +100,6 @@ class MapRep:
     carrier_map: Callable[[object], CompletionPoint]
     modulus: ModulusFn
     cls: str = METRIC
-    region: Optional[Callable[[object], bool]] = None
     label: str = "map"
 
     def __post_init__(self):
@@ -122,28 +121,22 @@ def apply_map(f: MapRep, p: CompletionPoint) -> CompletionPoint:
     enough that the modulus guarantees 2^-n accuracy.
 
     A constant p has the element x at every stage, whatever the depth, and
-    the carrier map is a function of x, so its region is checked and its
-    carrier map called once, here: a constant result gives the constant
-    point of the target, and any other result q the stages q.approx(n+1).
+    the carrier map is a function of x, so it is called once, here: a
+    constant result gives the constant point of the target, and any other
+    result q the stages q.approx(n+1).
     """
     if f.source.kind != p.carrier.kind:
         raise ValueError("point is not over the map's source carrier")
     if p._value is not None:
-        q = _carrier_image(f, p._value)
+        q = f.carrier_map(p._value)
         if q._value is not None:
             return point_of_carrier(f.target, q._value)
         return CompletionPoint(f.target, lambda n: q.approx(n + 1))
 
     def approx(n):
-        return _carrier_image(f, p.approx(f.modulus._stage(n))).approx(n + 1)
+        return f.carrier_map(p.approx(f.modulus._stage(n))).approx(n + 1)
 
     return CompletionPoint(f.target, approx)
-
-
-def _carrier_image(f: MapRep, x) -> CompletionPoint:
-    if f.region is not None and not f.region(x):
-        raise RegionError(f"{x!r} outside the declared region of {f.label}")
-    return f.carrier_map(x)
 
 
 def identity_map(carrier: MetricCarrier) -> MapRep:
@@ -172,7 +165,6 @@ def compose_maps(g: MapRep, f: MapRep) -> MapRep:
         carrier_map=carrier_map,
         modulus=lambda eps: f.modulus(g.modulus(eps)),
         cls=cls,
-        region=f.region,
         label=f"{g.label}.{f.label}",
     )
 
@@ -239,35 +231,33 @@ def extend_by_density(
     target: MetricCarrier,
     dense_map: Callable[[object], object],
     modulus,
-    cls: str = UNIFORM,
     sample_pairs=None,
-    check_eps=(Fraction(1), Fraction(1, 2), Fraction(1, 4)),
-    check_effort: int = 64,
     rng: Optional[random.Random] = None,
-    label: str = "ext",
 ) -> MapRep:
     """Extension of a carrier-to-carrier map along the dense embedding.
 
-    The modulus contract is spot-checked on sampled source pairs; a
-    violation raises CertificateError with the witness pair.
+    The result is a UNIFORM map labelled "ext".  The modulus contract is
+    spot-checked on sampled source pairs (six drawn from ``rng`` unless
+    ``sample_pairs`` is given) at eps 1, 1/2 and 1/4, reading distances at
+    effort 64; a violation raises CertificateError with the witness pair.
     """
     rep = MapRep(
         source=source,
         target=target,
         carrier_map=lambda x: point_of_carrier(target, dense_map(x)),
         modulus=modulus,
-        cls=cls,
-        label=label,
+        cls=UNIFORM,
+        label="ext",
     )
     if sample_pairs is None:
         rng = rng or random.Random(0)
         sample_pairs = [(source.sample(rng), source.sample(rng)) for _ in range(6)]
     for a, b in sample_pairs:
-        d_hi = source.dist(a, b, check_effort).hi
-        for eps in check_eps:
+        d_hi = source.dist(a, b, _EXT_CHECK_EFFORT).hi
+        for eps in _EXT_CHECK_EPS:
             eta = rep.modulus(eps)
             if d_hi < eta:
                 d_img = point_distance(rep.carrier_map(a), rep.carrier_map(b))
-                if not d_img.less_than(eps, check_effort).is_yes:
+                if not d_img.less_than(eps, _EXT_CHECK_EFFORT).is_yes:
                     raise CertificateError("modulus contract violated", (a, b, eps))
     return rep

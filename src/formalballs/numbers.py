@@ -62,8 +62,11 @@ def rational_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def decimal_str(x: Fraction, max_digits: int = 40) -> str:
-    """Decimal rendering when the denominator is 2^a 5^b, else "p/q"."""
+def decimal_str(x: Fraction) -> str:
+    """Decimal rendering when the denominator is 2^a 5^b, else "p/q".
+
+    A value that needs more than 40 fractional digits is printed as "p/q".
+    """
     den = x.denominator
     d = den
     twos = 0
@@ -77,7 +80,7 @@ def decimal_str(x: Fraction, max_digits: int = 40) -> str:
     if d != 1:
         return rational_str(x)
     digits = max(twos, fives)
-    if digits > max_digits:
+    if digits > 40:
         return rational_str(x)
     scaled = x * 10 ** digits
     assert scaled.denominator == 1

@@ -58,7 +58,7 @@ def test_criterion_2_completion_metric():
 
 
 def test_criterion_3_regularization():
-    rep = law_regularization(seed=2, count=100, effort=64)
+    rep = law_regularization(seed=2, count=100)
     _announce(
         "3 regularization idempotent + contained on 100 seeds",
         rep["result"] == "Pass",
@@ -68,7 +68,7 @@ def test_criterion_3_regularization():
 
 def test_criterion_4_exact_reals():
     start = time.monotonic()
-    rep = law_exact_reals(seed=3, count=1000, bits=30)
+    rep = law_exact_reals(seed=3, count=1000)
     elapsed = time.monotonic() - start
     ok = rep["result"] == "Pass" and elapsed < 30
     _announce(
@@ -110,7 +110,6 @@ def test_criterion_7_finite_duality():
         random_n3=10_000,
         cstar_samples=100,
         max_spec_n=6,
-        exhaustive_n=2,
     )
     _announce(
         "7 finite duality: admissibility, spectra, norm identity",

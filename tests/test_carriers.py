@@ -14,6 +14,7 @@ from formalballs.carriers import (
     product_space,
     rational_line,
 )
+from formalballs.completion import point_of_carrier
 
 
 def test_line_distances():
@@ -82,6 +83,17 @@ def test_gaussian_rationals_hold_only_pairs_of_rationals():
     # one carrier, not a product: its own kind and no factors to project to
     assert g.kind == ("gaussian",) and g.components is None
     assert g.kind != product_space(rational_line(), rational_line()).kind
+
+
+def test_booleans_are_not_carrier_elements():
+    line, sp = rational_line(), finite_space(2, [[0, 1], [1, 0]])
+    cases = [(line, True), (line, False), (sp, True), (sp, False),
+             (gaussian_rationals(), (True, 0)), (product_space(line, sp), (0, False))]
+    for carrier, x in cases:
+        assert not carrier.contains(x)
+        with pytest.raises(ValueError, match="is not a carrier element"):
+            point_of_carrier(carrier, x)
+    assert line.contains(1) and sp.contains(1) and gaussian_rationals().contains((1, 0))
 
 
 def test_sampled_symmetry_and_triangle():

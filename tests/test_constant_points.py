@@ -129,7 +129,7 @@ def _limit_map():
 
     def carrier_map(x):
         seq = lambda k: point_of_carrier(LINE, (1 - half_pow(k)) * x)
-        return limit_point(seq, modulus, check_depth=0)
+        return limit_point(seq, modulus)
 
     return MapRep(
         source=LINE, target=LINE, carrier_map=carrier_map,

@@ -18,7 +18,6 @@ from formalballs.maps import (
     UNIFORM,
     MapRep,
     ModulusFn,
-    RegionError,
     apply_map,
     compose_maps,
     extend_by_density,
@@ -116,22 +115,6 @@ def test_compose_class_weakest():
     assert compose_maps(iso, uni).cls == UNIFORM
 
 
-def test_region_enforced():
-    f = MapRep(
-        source=LINE,
-        target=LINE,
-        carrier_map=lambda x: point_of_carrier(LINE, x * x),
-        modulus=lambda eps: eps / 4,
-        cls=UNIFORM,
-        region=lambda x: abs(x) <= 2,
-        label="square",
-    )
-    img = apply_map(f, lpoint("3/2"))
-    assert abs(img.approx(8) - Fraction(9, 4)) <= half_pow(8)
-    with pytest.raises(RegionError):
-        apply_map(f, lpoint(5))
-
-
 def test_extend_by_density_square():
     pairs = [
         (Fraction(1), Fraction(5, 4)),
@@ -144,7 +127,6 @@ def test_extend_by_density_square():
         lambda x: x * x,
         lambda eps: eps / 4,
         sample_pairs=pairs,
-        label="square",
     )
     img = apply_map(f, lpoint("3/2"))
     assert abs(img.approx(10) - Fraction(9, 4)) <= half_pow(10)

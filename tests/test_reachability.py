@@ -1,4 +1,4 @@
-"""Every library function is reached by the traffic the library exists for.
+"""Every library function and parameter is used by the library's traffic.
 
 The traffic is ``formalballs law-suite --seed 0``, every ``formalballs``
 line of the README's command examples, the five demos, and the first
@@ -9,11 +9,20 @@ lists each module-level function, method, staticmethod and property
 defined in ``src/formalballs/*.py`` that was never called.  That list must
 equal ``ALLOWED``: a function outside it is either reached or deleted.
 
+The same pass reads the arguments of each call to such a function that has
+defaulted parameters, and lists each defaulted parameter that never arrives
+with a value other than its default (a value counts as the default when it
+``is`` the default, or has the same type and is ``==``).  That list must
+equal ``FIXED``: a parameter outside it is either varied or a constant.
+Dataclass fields are not scanned, because their ``__init__`` is generated.
+
 The scan runs in a subprocess (``python tests/test_reachability.py``), so
 the trace hook and the ``bench/`` imports stay out of the test process.
 """
 
 import contextlib
+import functools
+import inspect
 import io
 import json
 import os
@@ -29,13 +38,27 @@ ALLOWED = {
     "carriers.gaussian_rationals": "bench/tracing.py wraps it by name",
     "cli._Parser.error": "failure path: an argparse usage error",
     "completion.CompletionPoint.to_json": "failure path: a round-trip violation",
-    "gelfand._basic_open_json": "failure path: a failed admissibility witness",
+    "gelfand._failure": "failure path: a failed admissibility witness",
     "upper.UpperReal.__repr__": "debugging aid",
+}
+
+_EXPLICIT_BOUND = "test_character_fold pins the error order of an explicit bound"
+FIXED = {
+    "gelfand.Character.apply.bound": _EXPLICIT_BOUND,
+    "reals.dot_c.bound": _EXPLICIT_BOUND,
+    "lawsuite.enumerate_basic_opens.grid": "test_gelfand's n=3 case sets (-1, 0, 1)",
+    "lawsuite.law_function_locale.effort": "set by the CLI's --effort",
+    "lawsuite.law_function_locale.rt_effort": "acceptance criterion 6 sets it",
+    "lawsuite.run_law_suite.effort": "set by the CLI's --effort",
+    "lawsuite.run_law_suite.seed": "set by the CLI's --seed",
+    "maps.extend_by_density.sample_pairs":
+        "the only way a test reaches the modulus certificate check",
 }
 
 
 def _defined_code(modules):
-    """Code object -> "module.qualname" for each function the modules define."""
+    """Code object -> ("module.qualname", {parameter: default}) for each
+    function the modules define."""
     found = {}
     for mod in modules:
         short = mod.__name__.rsplit(".", 1)[1]
@@ -43,7 +66,10 @@ def _defined_code(modules):
         def add(fn):
             code = getattr(fn, "__code__", None)
             if code is not None and code.co_filename == mod.__file__:
-                found[code] = f"{short}.{code.co_qualname}"
+                params = inspect.signature(fn).parameters.values()
+                defaults = {p.name: p.default for p in params
+                            if p.default is not p.empty}
+                found[code] = (f"{short}.{code.co_qualname}", defaults)
 
         for obj in vars(mod).values():
             if getattr(obj, "__module__", None) != mod.__name__:
@@ -99,7 +125,8 @@ def _run_traffic():
 
 
 def scan():
-    """Names of the library functions that the traffic never calls."""
+    """The library functions that the traffic never calls, and the defaulted
+    parameters that it never sets to another value."""
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
     import importlib
     import pkgutil
@@ -112,9 +139,21 @@ def scan():
     ]
     defined = _defined_code(modules)
     called = set()
+    # code -> the defaulted parameters not yet seen with another value
+    fixed = {code: dict(defaults) for code, (_, defaults) in defined.items()}
 
-    def trace(frame, _event, _arg, add=called.add):
-        add(frame.f_code)  # returns None: no line events inside the frame
+    def trace(frame, _event, _arg, add=called.add, pending=fixed.get):
+        code = frame.f_code
+        add(code)  # returns None: no line events inside the frame
+        defaults = pending(code)
+        if defaults:
+            args = frame.f_locals
+            for name, default in list(defaults.items()):
+                value = args[name]
+                if value is not default and (
+                    type(value) is not type(default) or value != default
+                ):
+                    del defaults[name]
 
     sys.settrace(trace)
     try:
@@ -122,18 +161,36 @@ def scan():
             _run_traffic()
     finally:
         sys.settrace(None)
-    return sorted(name for code, name in defined.items() if code not in called)
+    return {
+        "unreached": sorted(
+            name for code, (name, _) in defined.items() if code not in called
+        ),
+        "fixed": sorted(
+            f"{defined[code][0]}.{param}"
+            for code, defaults in fixed.items()
+            for param in defaults
+        ),
+    }
 
 
-def test_every_library_function_is_reached_or_allowed():
+@functools.cache
+def _scan_in_subprocess():
     done = subprocess.run(
         [sys.executable, __file__], cwd=ROOT, capture_output=True, text=True,
         timeout=120, env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
     )
     assert done.returncode == 0, done.stderr
-    unreached = json.loads(done.stdout.strip().splitlines()[-1])
-    assert unreached == sorted(ALLOWED)
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def test_every_library_function_is_reached_or_allowed():
+    assert _scan_in_subprocess()["unreached"] == sorted(ALLOWED)
     assert all(reason.strip() for reason in ALLOWED.values())
+
+
+def test_every_defaulted_parameter_is_varied_or_allowed():
+    assert _scan_in_subprocess()["fixed"] == sorted(FIXED)
+    assert all(reason.strip() for reason in FIXED.values())
 
 
 if __name__ == "__main__":
