@@ -9,7 +9,6 @@ maps, exact real and complex points, and finite function-algebra duality.
 from .numbers import half_pow, parse_rational, rational_str
 from .upper import Query, UpperReal
 from .carriers import (
-    Interval,
     MetricAxiomError,
     MetricCarrier,
     finite_space,

@@ -66,42 +66,29 @@ def _require_same_carrier(u: BallOpen, v: BallOpen):
 def diameter_upper(u: BallOpen) -> UpperReal:
     """Sound upper real for the diameter of the denoted open.
 
-    Bound at effort e: max over ball pairs of dist_hi(ci,cj)(e) + ri + rj
-    and over single balls of 2 ri.  The empty open has diameter 0.
-
-    When every center distance is exact at effort 0 (lo == hi, as on the
-    primitive carriers), the bound is the same at every effort: distance
-    intervals are nested, so no later interval can differ.  The result is
-    then the constant upper real of that bound.
+    The bound is the max over ball pairs of d(ci,cj) + ri + rj and over
+    single balls of 2 ri; the empty open has diameter 0.  Carrier
+    distances are exact, so the bound is the same at every effort and the
+    result is the constant upper real of that bound.
     """
-    if not u.balls:
-        return UpperReal.of_rational(Fraction(0))
     carrier = u.carrier
     balls = u.balls
-
-    def bound(effort):
-        best = Fraction(0)
-        exact = True
-        for i, bi in enumerate(balls):
-            best = max(best, 2 * bi.radius)
-            for bj in balls[i + 1 :]:
-                d = carrier.dist(bi.center, bj.center, effort)
-                exact = exact and d.lo == d.hi
-                best = max(best, d.hi + bi.radius + bj.radius)
-        return best, exact
-
-    first, exact = bound(0)
-    if exact:
-        return UpperReal.of_rational(first)
-    return UpperReal(lambda effort: bound(effort)[0])
+    best = Fraction(0)
+    for i, bi in enumerate(balls):
+        best = max(best, 2 * bi.radius)
+        for bj in balls[i + 1 :]:
+            d = carrier.dist(bi.center, bj.center)
+            best = max(best, d + bi.radius + bj.radius)
+    return UpperReal.of_rational(best)
 
 
 def way_inside(u: BallOpen, eps: Fraction, v: BallOpen, effort: int) -> Query:
     """Semi-decide that the eps-fattening of u is contained in v.
 
     Single-ball domination rule: every ball b(x,q) of u must have a ball
-    b(y,r) of v with dist_hi(x,y) + q + eps <= r at the given effort.
-    Yes answers are sound; a union genuinely covering u may answer NotYet.
+    b(y,r) of v with d(x,y) + q + eps <= r.  Yes answers are sound; a union
+    genuinely covering u may answer NotYet.  Carrier distances are exact,
+    so the answer does not depend on effort.
     """
     eps = parse_rational(eps)
     if eps <= 0:
@@ -113,8 +100,7 @@ def way_inside(u: BallOpen, eps: Fraction, v: BallOpen, effort: int) -> Query:
     for bu in u.balls:
         dominated = False
         for bv in v.balls:
-            d = carrier.dist(bu.center, bv.center, effort).hi
-            if d + bu.radius + eps <= bv.radius:
+            if carrier.dist(bu.center, bv.center) + bu.radius + eps <= bv.radius:
                 dominated = True
                 break
         if not dominated:
@@ -140,14 +126,15 @@ def is_positive(u: BallOpen) -> bool:
 def meet_witness(u: BallOpen, v: BallOpen, effort: int) -> Optional[FormalBall]:
     """Search for a ball lying way inside both u and v.
 
-    A candidate center's slack in an open is the largest radius - dist_hi
-    over its balls; the witness needs a positive slack in both.  That
-    maximum is positive iff some ball contains the candidate (dist_hi <
-    radius), and then it is the maximum over the containing balls alone,
-    so only those are subtracted.
+    A candidate center's slack in an open is the largest radius - d over
+    its balls; the witness needs a positive slack in both.  That maximum
+    is positive iff some ball contains the candidate (d < radius), and
+    then it is the maximum over the containing balls alone, so only those
+    are subtracted.
 
-    Returns None if no witness was found at this effort; that is not a
-    refutation of overlap.
+    Returns None if no witness was found; that is not a refutation of
+    overlap.  Carrier distances are exact, so the answer does not depend
+    on effort.
     """
     _require_same_carrier(u, v)
     carrier = u.carrier
@@ -168,7 +155,7 @@ def meet_witness(u: BallOpen, v: BallOpen, effort: int) -> Optional[FormalBall]:
         for open_ in (u, v):
             best = None
             for b in open_.balls:
-                d = carrier.dist(c, b.center, effort).hi
+                d = carrier.dist(c, b.center)
                 if d < b.radius:
                     s = b.radius - d
                     if best is None or s > best:

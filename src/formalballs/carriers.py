@@ -1,10 +1,10 @@
-"""Carriers of pre-metric sets: decidable point sets with interval distances.
+"""Carriers of pre-metric sets: decidable point sets with exact rational distances.
 
 Provided constructors: the rational line, finite spaces from a distance
 table, binary products (max metric), and the Gaussian rationals (the
-product of two lines under its own kind).  Distances are returned as
-nested rational intervals indexed by effort; for the primitive carriers
-the interval is exact already at effort 0.
+product of two lines under its own kind).  A distance is an exact
+``Fraction``; approximation lives one layer up, in completion-point stages
+and upper reals.
 """
 
 from __future__ import annotations
@@ -27,27 +27,15 @@ class MetricAxiomError(ValueError):
 
 
 @dataclass(frozen=True)
-class Interval:
-    """Rational interval [lo, hi]."""
-
-    lo: Fraction
-    hi: Fraction
-
-    def __post_init__(self):
-        if self.hi < self.lo:
-            raise ValueError(f"empty interval [{self.lo}, {self.hi}]")
-
-
-@dataclass(frozen=True)
 class MetricCarrier:
-    """A pre-metric point set with a decidable carrier and interval distance.
+    """A pre-metric point set with a decidable carrier and exact rational distance.
 
     ``kind`` is a structural descriptor used for carrier compatibility
     checks (two carriers agree iff their descriptors agree).
     """
 
     kind: tuple
-    dist: Callable[[Any, Any, int], Interval] = field(compare=False)
+    dist: Callable[[Any, Any], Fraction] = field(compare=False)
     contains: Callable[[Any], bool] = field(compare=False)
     sample: Callable[[random.Random], Any] = field(compare=False)
     points: Optional[tuple] = field(default=None, compare=False)
@@ -58,15 +46,11 @@ class MetricCarrier:
         return f"MetricCarrier(kind={self.kind!r})"
 
 
-def _exact(d: Fraction) -> Interval:
-    return Interval(d, d)
-
-
 def rational_line() -> MetricCarrier:
     """The rational line with the archimedean distance |a - b|."""
 
-    def dist(a, b, _effort):
-        return _exact(abs(Fraction(a) - Fraction(b)))
+    def dist(a, b):
+        return abs(Fraction(a) - Fraction(b))
 
     def sample(rng: random.Random):
         return Fraction(rng.randint(-32, 32), rng.choice([1, 2, 3, 4, 8]))
@@ -87,9 +71,8 @@ def finite_space(n: int, table) -> MetricCarrier:
     """Finite carrier {0..n-1} with exact distances from a symmetric table.
 
     Rejects tables violating symmetry, zero diagonal, non-negativity or the
-    triangle inequality, naming the offending points.  The n^2 exact
-    intervals are built once here, so ``dist`` is a table lookup; an
-    ``Interval`` is frozen, so sharing one between calls is safe.
+    triangle inequality, naming the offending points.  ``dist`` is a
+    lookup in the checked table.
     """
     if n < 1:
         raise ValueError("finite space needs at least one point")
@@ -114,10 +97,9 @@ def finite_space(n: int, table) -> MetricCarrier:
                     raise MetricAxiomError("triangle inequality violated", (i, j, k))
 
     frozen = tuple(tuple(row) for row in d)
-    rows = tuple(tuple(_exact(q) for q in row) for row in frozen)
 
-    def dist(a, b, _effort):
-        return rows[a][b]
+    def dist(a, b):
+        return frozen[a][b]
 
     return MetricCarrier(
         kind=("finite", frozen),
@@ -136,10 +118,8 @@ def finite_space_from_json(payload) -> MetricCarrier:
 def product_space(left: MetricCarrier, right: MetricCarrier) -> MetricCarrier:
     """Binary product under the max metric; elements are pairs."""
 
-    def dist(a, b, effort):
-        dl = left.dist(a[0], b[0], effort)
-        dr = right.dist(a[1], b[1], effort)
-        return Interval(max(dl.lo, dr.lo), max(dl.hi, dr.hi))
+    def dist(a, b):
+        return max(left.dist(a[0], b[0]), right.dist(a[1], b[1]))
 
     def sample(rng: random.Random):
         return (left.sample(rng), right.sample(rng))

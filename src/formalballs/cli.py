@@ -349,11 +349,13 @@ def _cmd_admissible(args):
     payload = _load_payload(args)
     space = FiniteDiscreteSpace(_space_size(payload, ADMISSIBLE_MAX_N))
 
+    def subset(s):
+        if not isinstance(s, list):
+            raise ParseFailure(f"a subset must be a JSON array of indices, got {s!r}")
+        return frozenset(parse_int(i) for i in s)
+
     def side(name):
-        return [
-            (frozenset(parse_int(i) for i in s), parse_rational(q))
-            for s, q in payload.get(name, [])
-        ]
+        return [(subset(s), parse_rational(q)) for s, q in payload.get(name, [])]
 
     b = BasicOpenXR.of(side("lowers"), side("uppers"))
     adm = is_admissible(b, space)
@@ -484,8 +486,11 @@ def main(argv=None) -> int:
     else:
         text = suite_json(payload)
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            return _emit(json.dumps({"error": f"cannot write --output: {exc}"}), 2)
     return _emit(text, code)
 
 

@@ -92,7 +92,7 @@ def member_query(p: CompletionPoint, u: BallOpen, effort: int) -> Query:
         x = p.approx(n)
         r = half_pow(n)
         for b in u.balls:
-            d = carrier.dist(x, b.center, effort).hi
+            d = carrier.dist(x, b.center)
             # strict slack leaves room for a positive way-inside margin
             if d + r < b.radius:
                 return Query.YES
@@ -102,23 +102,20 @@ def member_query(p: CompletionPoint, u: BallOpen, effort: int) -> Query:
 def point_distance(p: CompletionPoint, q: CompletionPoint) -> UpperReal:
     """Sound upper real for the completion distance between two points.
 
-    The raw bound at n is dist_hi(x_n, y_n) + 2^(1-n).  For two points built
-    constant (``_value`` set) whose distance is exact at effort 0 (lo == hi),
-    it is d + 2^(1-n) with the same d at every n: distance intervals are
-    nested, so an exact one never changes.  That falls strictly with n, so
-    the upper real is ``decreasing`` and a query reads one raw bound.
+    The raw bound at n is d(x_n, y_n) + 2^(1-n).  For two constant points
+    (``_value`` set) it is d + 2^(1-n) with the same d at every n.  That
+    falls strictly with n, so the upper real is ``decreasing`` and a query
+    reads one raw bound.
     """
     if p.carrier.kind != q.carrier.kind:
         raise ValueError("points over different carriers")
     carrier = p.carrier
     if p._value is not None and q._value is not None:
-        iv = carrier.dist(p._value, q._value, 0)
-        if iv.lo == iv.hi:
-            d = iv.hi
-            return UpperReal(lambda n: d + half_pow(n - 1), decreasing=True)
+        d = carrier.dist(p._value, q._value)
+        return UpperReal(lambda n: d + half_pow(n - 1), decreasing=True)
 
     def bound(n):
-        return carrier.dist(p.approx(n), q.approx(n), n).hi + half_pow(n - 1)
+        return carrier.dist(p.approx(n), q.approx(n)) + half_pow(n - 1)
 
     return UpperReal(bound)
 
@@ -175,7 +172,10 @@ class FilterSeed:
 
 
 def seed_member_query(f: FilterSeed, v: BallOpen, effort: int) -> Query:
-    """Semi-decide v's membership in the generated filter."""
+    """Semi-decide v's membership in the generated filter.
+
+    Carrier distances are exact, so the answer does not depend on effort.
+    """
     for u in f.generators:
         if not u.balls:
             continue
@@ -190,6 +190,7 @@ def regularize(f: FilterSeed, effort: int = 32) -> FilterSeed:
 
     Checks the meet-compatibility of the generators first (reporting the
     failing pair), and is idempotent: a regular seed is returned unchanged.
+    Carrier distances are exact, so the result does not depend on effort.
     """
     if f.regular:
         return f

@@ -74,7 +74,7 @@ def _holds_witness(
     probes = [(b, b.center) for b in u.balls]
     for x in extra_probes:
         for b in u.balls:
-            if u.carrier.dist(x, b.center, effort).hi < b.radius:
+            if u.carrier.dist(x, b.center) < b.radius:
                 probes.append((b, x))
                 break
     for b, x in probes:
@@ -100,13 +100,12 @@ class MMInstance:
     data: dict
 
 
-def _contained(small: BallOpen, big: BallOpen, effort: int) -> bool:
+def _contained(small: BallOpen, big: BallOpen) -> bool:
     """Ball-level containment: each ball of small inside one ball of big."""
     for bs in small.balls:
         ok = False
         for bb in big.balls:
-            d = small.carrier.dist(bs.center, bb.center, effort).hi
-            if d + bs.radius <= bb.radius:
+            if small.carrier.dist(bs.center, bb.center) + bs.radius <= bb.radius:
                 ok = True
                 break
         if not ok:
@@ -135,9 +134,9 @@ def validate_instance(inst: MMInstance) -> None:
             raise ValueError(f"{inst.axiom}: part {key!r} must be non-empty")
 
     if inst.axiom == "MM1":
-        if not _contained(d["u_small"], d["u"], effort):
+        if not _contained(d["u_small"], d["u"]):
             raise ValueError("MM1: u_small not contained in u")
-        if not _contained(d["v_small"], d["v"], effort):
+        if not _contained(d["v_small"], d["v"]):
             raise ValueError("MM1: v_small not contained in v")
     elif inst.axiom == "MM5":
         for i in ("1", "2"):
@@ -147,8 +146,8 @@ def validate_instance(inst: MMInstance) -> None:
             if not way_inside(d["v" + i + "p"], q, d["v" + i], effort).is_yes:
                 raise ValueError(f"MM5: v{i}p not way inside v{i} with margin q{i}")
         if not (
-            _contained(d["tau"], d["w1"], effort)
-            and _contained(d["tau"], d["w2"], effort)
+            _contained(d["tau"], d["w1"])
+            and _contained(d["tau"], d["w2"])
         ):
             raise ValueError("MM5: tau not contained in both w1 and w2")
 
@@ -237,7 +236,7 @@ def _check_mm4(d, f, effort):
     for n in (top,) if image.is_constant else range(top + 1):
         z = image.approx(n)
         for bv in d["v"].balls:
-            slack = bv.radius - carrier.dist(z, bv.center, effort).hi - half_pow(n)
+            slack = bv.radius - carrier.dist(z, bv.center) - half_pow(n)
             if slack > 0 and (best is None or slack > best[0]):
                 best = (slack, n, z)
     if best is None:
@@ -266,7 +265,7 @@ def _check_mm5(d, f, effort):
         for _round in range(4):
             c = image.approx(m)
             slack = min(
-                max(bv.radius - carrier.dist(c, bv.center, effort).hi for bv in vi.balls)
+                max(bv.radius - carrier.dist(c, bv.center) for bv in vi.balls)
                 for vi in (d["v1"], d["v2"])
             )
             if slack > 0 and half_pow(m) < slack / 8:
@@ -278,8 +277,8 @@ def _check_mm5(d, f, effort):
         v = BallOpen.of(carrier, FormalBall(c, rho))
         n = stage_below(rho / 4)
         if (
-            _contained(v, d["v1"], effort)
-            and _contained(v, d["v2"], effort)
+            _contained(v, d["v1"])
+            and _contained(v, d["v2"])
             and holds(PairProp(d["tau"], v), f, max(effort, n + 2)).is_yes
         ):
             return _result("MM5", PASS, effort, witness=v.to_json())
@@ -308,13 +307,13 @@ def _check_mm6(d, f, effort):
     centers = [b.center for b in join.balls]
     for i, a in enumerate(centers):
         for b in centers[i + 1 :]:
-            lo = carrier.dist(a, b, effort).lo
-            if lo > rhs_hi:
+            d_ab = carrier.dist(a, b)
+            if d_ab > rhs_hi:
                 return _result(
                     "MM6", FAIL, effort,
                     witness={
                         "pair": [repr(a), repr(b)],
-                        "distance_lower": rational_str(lo),
+                        "distance_lower": rational_str(d_ab),
                         "rhs_upper": rational_str(rhs_hi),
                     },
                 )

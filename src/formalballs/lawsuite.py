@@ -93,7 +93,7 @@ def denote(u: BallOpen) -> frozenset:
     return frozenset(
         x
         for x in u.carrier.points
-        if any(u.carrier.dist(x, b.center, 0).hi < b.radius for b in u.balls)
+        if any(u.carrier.dist(x, b.center) < b.radius for b in u.balls)
     )
 
 
@@ -102,7 +102,7 @@ def oracle_diam(carrier: MetricCarrier, pts) -> Fraction:
     best = Fraction(0)
     for i, a in enumerate(pts):
         for b in pts[i + 1 :]:
-            best = max(best, carrier.dist(a, b, 0).hi)
+            best = max(best, carrier.dist(a, b))
     return best
 
 
@@ -110,7 +110,7 @@ def oracle_fatten(carrier: MetricCarrier, pts, q: Fraction) -> frozenset:
     return frozenset(
         y
         for y in carrier.points
-        if any(carrier.dist(x, y, 0).hi < q for x in pts)
+        if any(carrier.dist(x, y) < q for x in pts)
     )
 
 
@@ -162,7 +162,7 @@ def law_ball_calculus(seed: int, spaces: int = 200) -> dict:
         # chained overlaps: diameter bounded by the sum along the chain
         xs = [rng.choice(sp.points) for _ in range(4)]
         chain = [
-            FormalBall(xs[i], sp.dist(xs[i], xs[i + 1], 0).hi + Fraction(1, 2))
+            FormalBall(xs[i], sp.dist(xs[i], xs[i + 1]) + Fraction(1, 2))
             for i in range(3)
         ] + [FormalBall(xs[3], Fraction(1, 2))]
         chain_opens = [BallOpen.of(sp, b) for b in chain]

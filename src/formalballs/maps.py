@@ -32,7 +32,8 @@ _CLASS_ORDER = {ISOMETRIC: 2, METRIC: 1, UNIFORM: 0}
 
 LINE = rational_line()
 
-# extend_by_density spot-checks its modulus at these eps, at this effort
+# extend_by_density spot-checks its modulus at these eps, reading image
+# distances at this effort
 _EXT_CHECK_EPS = (Fraction(1), Fraction(1, 2), Fraction(1, 4))
 _EXT_CHECK_EFFORT = 64
 
@@ -238,8 +239,8 @@ def extend_by_density(
 
     The result is a UNIFORM map labelled "ext".  The modulus contract is
     spot-checked on sampled source pairs (six drawn from ``rng`` unless
-    ``sample_pairs`` is given) at eps 1, 1/2 and 1/4, reading distances at
-    effort 64; a violation raises CertificateError with the witness pair.
+    ``sample_pairs`` is given) at eps 1, 1/2 and 1/4, reading image
+    distances at effort 64; a violation raises CertificateError with the witness pair.
     """
     rep = MapRep(
         source=source,
@@ -253,10 +254,10 @@ def extend_by_density(
         rng = rng or random.Random(0)
         sample_pairs = [(source.sample(rng), source.sample(rng)) for _ in range(6)]
     for a, b in sample_pairs:
-        d_hi = source.dist(a, b, _EXT_CHECK_EFFORT).hi
+        d = source.dist(a, b)
         for eps in _EXT_CHECK_EPS:
             eta = rep.modulus(eps)
-            if d_hi < eta:
+            if d < eta:
                 d_img = point_distance(rep.carrier_map(a), rep.carrier_map(b))
                 if not d_img.less_than(eps, _EXT_CHECK_EFFORT).is_yes:
                     raise CertificateError("modulus contract violated", (a, b, eps))

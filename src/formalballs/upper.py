@@ -47,8 +47,8 @@ class UpperReal:
     ``decreasing=True`` promises that the raw bounds never rise with
     effort, so the running minimum at effort e is the raw bound at e, and
     ``bound`` and ``less_than`` read that one raw bound.  Only
-    ``completion.point_distance`` sets it, for two constant points at an
-    exact distance d, where the raw bound d + 2^(1-n) falls strictly.
+    ``completion.point_distance`` sets it, for two constant points at
+    distance d, where the raw bound d + 2^(1-n) falls strictly.
     """
 
     __slots__ = ("_fn", "_raw", "_best", "_value", "_decreasing")

@@ -19,18 +19,17 @@ from formalballs.completion import point_of_carrier
 
 def test_line_distances():
     line = rational_line()
-    assert line.dist(Fraction(1, 2), Fraction(2), 0).hi == Fraction(3, 2)
-    assert line.dist(Fraction(1, 2), Fraction(2), 0).lo == Fraction(3, 2)
-    assert line.dist(Fraction(7), Fraction(7), 0).hi == 0
-    assert line.dist(-1, 1, 0).hi == 2
+    assert line.dist(Fraction(1, 2), Fraction(2)) == Fraction(3, 2)
+    assert line.dist(Fraction(7), Fraction(7)) == 0
+    assert line.dist(-1, 1) == 2
 
 
 def test_finite_space_basic():
     sp = finite_space(2, [[0, 1], [1, 0]])
-    assert sp.dist(0, 1, 0).hi == 1
+    assert sp.dist(0, 1) == 1
     assert sp.points == (0, 1)
     one = finite_space(1, [[0]])
-    assert one.dist(0, 0, 0).hi == 0
+    assert one.dist(0, 0) == 0
 
 
 def test_finite_space_rejects_triangle_violation():
@@ -50,25 +49,23 @@ def test_finite_space_rejects_other_axioms():
 
 def test_finite_space_from_json():
     sp = finite_space_from_json({"n": 2, "d": [["0", "3/2"], ["3/2", "0"]]})
-    assert sp.dist(0, 1, 0).hi == Fraction(3, 2)
+    assert sp.dist(0, 1) == Fraction(3, 2)
 
 
 def test_product_max_metric():
     line = rational_line()
     prod = product_space(line, line)
-    d = prod.dist((Fraction(0), Fraction(0)), (Fraction(3), Fraction(4)), 0)
-    assert d.lo == d.hi == 4
-    assert prod.dist((Fraction(1), Fraction(2)), (Fraction(1), Fraction(2)), 0).hi == 0
+    assert prod.dist((Fraction(0), Fraction(0)), (Fraction(3), Fraction(4))) == 4
+    assert prod.dist((Fraction(1), Fraction(2)), (Fraction(1), Fraction(2))) == 0
     sp2 = finite_space(2, [[0, 1], [1, 0]])
     mixed = product_space(line, sp2)
-    assert mixed.dist((Fraction(0), 0), (Fraction(2), 1), 0).hi == 2
+    assert mixed.dist((Fraction(0), 0), (Fraction(2), 1)) == 2
     assert mixed.components == (line, sp2)
 
 
 def test_gaussian_rationals_max_metric():
     g = gaussian_rationals()
-    d = g.dist((Fraction(0), Fraction(0)), (Fraction(3), Fraction(4)), 0)
-    assert d.hi == 4
+    assert g.dist((Fraction(0), Fraction(0)), (Fraction(3), Fraction(4))) == 4
 
 
 def test_gaussian_rationals_hold_only_pairs_of_rationals():
@@ -106,11 +103,10 @@ def test_sampled_symmetry_and_triangle():
     ):
         for _ in range(30):
             a, b, c = (carrier.sample(rng) for _ in range(3))
-            assert carrier.dist(a, b, 0).hi == carrier.dist(b, a, 0).hi
-            assert (
-                carrier.dist(a, c, 0).hi
-                <= carrier.dist(a, b, 0).hi + carrier.dist(b, c, 0).hi
-            )
+            d = carrier.dist(a, b)
+            assert type(d) is Fraction
+            assert d == carrier.dist(b, a)
+            assert carrier.dist(a, c) <= d + carrier.dist(b, c)
 
 
 def test_projections_do_not_increase_distance():
@@ -119,9 +115,9 @@ def test_projections_do_not_increase_distance():
     prod = product_space(line, line)
     for _ in range(30):
         a, b = prod.sample(rng), prod.sample(rng)
-        d = prod.dist(a, b, 0).hi
-        assert line.dist(a[0], b[0], 0).hi <= d
-        assert line.dist(a[1], b[1], 0).hi <= d
+        d = prod.dist(a, b)
+        assert line.dist(a[0], b[0]) <= d
+        assert line.dist(a[1], b[1]) <= d
 
 
 def reference_triangle_witness(n, table):

@@ -220,6 +220,16 @@ def test_law_suite_and_determinism(capsys, tmp_path):
     assert json.loads(out1.read_text())["result"] == "Pass"
 
 
+def test_unwritable_output_exits_2_with_one_error_document(capsys, tmp_path):
+    for path in (tmp_path / "missing" / "x.json", tmp_path):
+        code = main(["real-eval", "1/3", "--output", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out.count("\n") == 1
+        assert set(json.loads(captured.out)) == {"error"}
+        assert captured.err == ""
+
+
 def test_invalid_flag_values(capsys):
     code, out = run_cli(capsys, "real-eval", "1", "--precision", "0")
     assert code == 2
@@ -295,6 +305,9 @@ TWO_POINTS = {"type": "finite", "n": 2, "d": [["0", "1"], ["1", "0"]]}
         ["admissible", json.dumps({"n": 2, "lowers": [[[0], True]], "uppers": []})],
         ["real-eval", "neg(" * 3000 + "1" + ")" * 3000],
         ["map-apply", "compose(id," * 1500 + "id" + ")" * 1500, "1/2"],
+        # a subset is a JSON array: never a string's characters or an object's keys
+        ["admissible", json.dumps({"n": 12, "lowers": [["11", "0"]], "uppers": []})],
+        ["admissible", json.dumps({"n": 2, "lowers": [[{"1": 2}, "0"]], "uppers": []})],
     ],
 )
 def test_contract_errors_exit_2_with_one_error_document(capsys, argv):

@@ -6,10 +6,10 @@ is constant too.  ``member_query`` decides such a point from stage
 ``effort`` alone, and the MM4 interior scan reads one stage of a constant
 image.  Both are compared here with the loop over every stage, kept below
 as a reference, and with unflagged twins whose stages are the same element.
-Likewise ``diameter_upper`` over exact distances is a constant upper real,
-compared with the bound computed afresh at every effort, and
-``point_distance`` of two constant points at an exact distance reads one
-raw bound, compared with the minimum over every stage.
+Likewise ``diameter_upper`` is a constant upper real, compared with the
+bound by its formula at every effort, and ``point_distance`` of two
+constant points reads one raw bound, compared with the minimum over every
+stage.
 """
 
 import gc
@@ -22,13 +22,7 @@ from hypothesis import strategies as st
 
 from formalballs import function_locale
 from formalballs.balls import BallOpen, FormalBall, diameter_upper
-from formalballs.carriers import (
-    Interval,
-    MetricCarrier,
-    finite_space,
-    product_space,
-    rational_line,
-)
+from formalballs.carriers import finite_space, product_space, rational_line
 from formalballs.completion import (
     CompletionPoint,
     limit_point,
@@ -56,7 +50,7 @@ def full_loop_member_query(p, u, effort):
     for n in range(effort, -1, -1):
         x = p.approx(n)
         for b in u.balls:
-            if p.carrier.dist(x, b.center, effort).hi + half_pow(n) < b.radius:
+            if p.carrier.dist(x, b.center) + half_pow(n) < b.radius:
                 return Query.YES
     return Query.NOT_YET
 
@@ -195,29 +189,16 @@ def test_constant_points_leave_no_cyclic_garbage():
     assert gc.collect() == 0
 
 
-def reference_diameter(u, effort):
-    """diameter_upper's bound at each effort 0..effort, minimum kept."""
-    raws = []
-    for e in range(effort + 1):
-        best = Fraction(0)
-        for i, bi in enumerate(u.balls):
-            best = max(best, 2 * bi.radius)
-            for bj in u.balls[i + 1 :]:
-                d = u.carrier.dist(bi.center, bj.center, e).hi
-                best = max(best, d + bi.radius + bj.radius)
-        raws.append(best)
-    return min(raws)
-
-
-def _narrowing_line():
-    """The line with distance intervals of width 2^-e around the distance."""
-    def dist(a, b, effort):
-        d = abs(a - b)
-        return Interval(max(Fraction(0), d - half_pow(effort)), d + half_pow(effort))
-
-    return MetricCarrier(kind=("narrowing",), dist=dist,
-                         contains=lambda x: isinstance(x, Fraction),
-                         sample=lambda rng: Fraction(rng.randint(-8, 8), 4))
+def reference_diameter(u):
+    """diameter_upper's bound by its formula: the largest 2 r over the balls
+    and d(ci, cj) + ri + rj over the ball pairs."""
+    best = Fraction(0)
+    for i, bi in enumerate(u.balls):
+        best = max(best, 2 * bi.radius)
+        for bj in u.balls[i + 1 :]:
+            d = u.carrier.dist(bi.center, bj.center)
+            best = max(best, d + bi.radius + bj.radius)
+    return best
 
 
 FOUR_POINTS = finite_space(4, [[0, 1, 2, 3], [1, 0, 1, 2], [2, 1, 0, 1], [3, 2, 1, 0]])
@@ -228,7 +209,6 @@ CARRIERS = {
     "finite": (FOUR_POINTS, st.integers(0, 3), lambda x, _n: x),
     "product": (product_space(LINE, FOUR_POINTS), st.tuples(offsets, st.integers(0, 3)),
                 lambda x, n: (x[0] - half_pow(n + 1), x[1])),
-    "narrowing": (_narrowing_line(), offsets, lambda x, n: x + half_pow(n + 1)),
 }
 
 
@@ -239,16 +219,16 @@ def test_diameters_match_the_bound_at_every_effort(data, name, effort, q):
     carrier, centers, _ = CARRIERS[name]
     balls = data.draw(st.lists(st.tuples(centers, radii), min_size=1, max_size=4))
     u = BallOpen(carrier, tuple(FormalBall(c, r) for c, r in balls))
-    want = reference_diameter(u, effort)
+    want = reference_diameter(u)
     assert diameter_upper(u).bound(effort) == want
     assert diameter_upper(u).less_than(q, effort).is_yes == (want < q)
 
 
 def reference_distance(p, q, effort):
     """point_distance's bound by its rule: the minimum over n <= effort of
-    dist_hi(x_n, y_n) at effort n plus 2^(1-n)."""
+    d(x_n, y_n) + 2^(1-n)."""
     return min(
-        p.carrier.dist(p.approx(n), q.approx(n), n).hi + half_pow(n - 1)
+        p.carrier.dist(p.approx(n), q.approx(n)) + half_pow(n - 1)
         for n in range(effort + 1)
     )
 
@@ -308,10 +288,9 @@ def test_folded_distances_read_one_raw_bound_per_query(name, x, y):
 
 
 def test_distances_off_the_fold_take_every_stage():
-    # not exact at effort 0, or one point moving: a NotYet reads all stages
+    # one point moving: a NotYet reads all stages
     x, y = Fraction(1, 3), Fraction(-2)
     for p, q in (
-        (_point("narrowing", x, False), _point("narrowing", y, False)),
         (_point("line", x, False), _point("line", y, True)),
         (_point("line", x, True), _point("line", y, False)),
     ):

@@ -1,11 +1,11 @@
-"""The meet scan and the prebuilt finite distances against what they replace.
+"""The meet scan and the finite distances against what they replace.
 
 ``meet_witness`` subtracts a ball's radius and distance only when the ball
 contains the candidate center; the loop below subtracts for every ball and
 tests the best slack's sign afterwards.  Both must give the same witness,
 and ``regularize`` (which asks ``meet_witness`` about every generator pair)
 the same generators or the same failing pair.  A finite space's distance
-is its table entry as an exact interval at every effort, built once.
+is its table entry.
 """
 
 from fractions import Fraction
@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from formalballs import balls
 from formalballs.balls import BallOpen, FormalBall, meet_witness, way_inside
-from formalballs.carriers import Interval, finite_space, product_space, rational_line
+from formalballs.carriers import finite_space, product_space, rational_line
 from formalballs.completion import CertificateError, FilterSeed, regularize
 
 LINE = rational_line()
@@ -37,7 +37,7 @@ def reference_meet_witness(u, v, effort):
         for open_ in (u, v):
             best = None
             for b in open_.balls:
-                s = b.radius - carrier.dist(c, b.center, effort).hi
+                s = b.radius - carrier.dist(c, b.center)
                 if best is None or s > best:
                     best = s
             if best is None or best <= 0:
@@ -145,12 +145,10 @@ def test_boundary_candidates_are_not_witnesses():
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.integers(1, 8), st.lists(st.integers(1, 16), min_size=64, max_size=64),
-       st.lists(st.integers(0, 64), min_size=1, max_size=4))
-def test_finite_distances_are_the_table_at_every_effort(n, weights, efforts):
+@given(st.integers(1, 8), st.lists(st.integers(1, 16), min_size=64, max_size=64))
+def test_finite_distances_are_the_table(n, weights):
     d = shortest_paths(weights, n)
     sp = finite_space(n, [[str(q) for q in row] for row in d])
-    for e in efforts:
-        for a in range(n):
-            for b in range(n):
-                assert sp.dist(a, b, e) == Interval(d[a][b], d[a][b])
+    for a in range(n):
+        for b in range(n):
+            assert sp.dist(a, b) == d[a][b]
