@@ -1,7 +1,7 @@
 """Exact formal-ball calculus: completions of pre-metric carriers.
 
 Rational-only arithmetic end to end: upper reals with effort-indexed
-bounds, formal balls and their diameter/way-inside/neighborhood calculus,
+bounds, formal balls and their exact diameter/domination/neighborhood calculus,
 completion points and filters, certified maps, the presented locale of
 maps, exact real and complex points, and finite function-algebra duality.
 """
@@ -20,7 +20,9 @@ from .carriers import (
 from .balls import (
     BallOpen,
     FormalBall,
+    diameter,
     diameter_upper,
+    dominated,
     is_positive,
     meet_witness,
     neighborhood,

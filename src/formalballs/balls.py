@@ -1,8 +1,9 @@
 """Formal balls and finite unions of them: the basis opens of a completion.
 
-The executable calculus: diameter upper bounds, the sound "way inside"
-semi-decision, the q-neighborhood operator (radius fattening), positivity,
-and meet witnesses.
+The executable calculus, exact over rational carrier distances: the formal
+diameter, single-ball domination (containment and the sound "way inside"
+test), the q-neighborhood operator (radius fattening), positivity, and
+meet witnesses.
 """
 
 from __future__ import annotations
@@ -63,13 +64,12 @@ def _require_same_carrier(u: BallOpen, v: BallOpen):
         raise ValueError("ball opens over different carriers")
 
 
-def diameter_upper(u: BallOpen) -> UpperReal:
-    """Sound upper real for the diameter of the denoted open.
+def diameter(u: BallOpen) -> Fraction:
+    """The formal diameter of the ball representation, an exact rational.
 
-    The bound is the max over ball pairs of d(ci,cj) + ri + rj and over
-    single balls of 2 ri; the empty open has diameter 0.  Carrier
-    distances are exact, so the bound is the same at every effort and the
-    result is the constant upper real of that bound.
+    The max over ball pairs of d(ci,cj) + ri + rj and over single balls of
+    2 ri; the empty open has diameter 0.  It bounds the diameter of the
+    denoted open from above.
     """
     carrier = u.carrier
     balls = u.balls
@@ -79,16 +79,32 @@ def diameter_upper(u: BallOpen) -> UpperReal:
         for bj in balls[i + 1 :]:
             d = carrier.dist(bi.center, bj.center)
             best = max(best, d + bi.radius + bj.radius)
-    return UpperReal.of_rational(best)
+    return best
+
+
+def diameter_upper(u: BallOpen) -> UpperReal:
+    """``diameter(u)`` as a constant upper real."""
+    return UpperReal.of_rational(diameter(u))
+
+
+def dominated(u: BallOpen, v: BallOpen, margin: Fraction) -> bool:
+    """Single-ball domination: every ball b(x,q) of u has a ball b(y,r) of v
+    with d(x,y) + q + margin <= r.  With margin 0 this is containment."""
+    dist = u.carrier.dist
+    for bu in u.balls:
+        for bv in v.balls:
+            if dist(bu.center, bv.center) + bu.radius + margin <= bv.radius:
+                break
+        else:
+            return False
+    return True
 
 
 def way_inside(u: BallOpen, eps: Fraction, v: BallOpen, effort: int) -> Query:
-    """Semi-decide that the eps-fattening of u is contained in v.
+    """Decide that the eps-fattening of u is contained in v by domination.
 
-    Single-ball domination rule: every ball b(x,q) of u must have a ball
-    b(y,r) of v with d(x,y) + q + eps <= r.  Yes answers are sound; a union
-    genuinely covering u may answer NotYet.  Carrier distances are exact,
-    so the answer does not depend on effort.
+    Yes answers are sound; a union genuinely covering u may answer NotYet.
+    Carrier distances are exact, so the answer does not depend on effort.
     """
     eps = parse_rational(eps)
     if eps <= 0:
@@ -96,16 +112,7 @@ def way_inside(u: BallOpen, eps: Fraction, v: BallOpen, effort: int) -> Query:
     if not u.balls:
         return Query.YES
     _require_same_carrier(u, v)
-    carrier = u.carrier
-    for bu in u.balls:
-        dominated = False
-        for bv in v.balls:
-            if carrier.dist(bu.center, bv.center) + bu.radius + eps <= bv.radius:
-                dominated = True
-                break
-        if not dominated:
-            return Query.NOT_YET
-    return Query.YES
+    return Query.YES if dominated(u, v, eps) else Query.NOT_YET
 
 
 def neighborhood(u: BallOpen, q: Fraction) -> BallOpen:
@@ -168,9 +175,6 @@ def meet_witness(u: BallOpen, v: BallOpen, effort: int) -> Optional[FormalBall]:
             w = FormalBall(c, slack / 4)
             wo = BallOpen.of(carrier, w)
             # witness must sit way inside both opens with a positive margin
-            if (
-                way_inside(wo, slack / 4, u, effort).is_yes
-                and way_inside(wo, slack / 4, v, effort).is_yes
-            ):
+            if dominated(wo, u, slack / 4) and dominated(wo, v, slack / 4):
                 return w
     return None

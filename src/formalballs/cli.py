@@ -18,7 +18,7 @@ from fractions import Fraction
 from .balls import (
     BallOpen,
     FormalBall,
-    diameter_upper,
+    diameter,
     is_positive,
     meet_witness,
     way_inside,
@@ -242,6 +242,10 @@ def _element(carrier, x):
 
 
 def _open_from_json(carrier, balls) -> BallOpen:
+    """A ball open: a JSON array of {"c": center, "r": radius} objects."""
+    if not (isinstance(balls, list) and all(isinstance(b, dict) for b in balls)):
+        raise ParseFailure(f"a ball open must be a JSON array of objects, got {balls!r}")
+
     def center(c):
         x = _element(carrier, c)
         if not carrier.contains(x):
@@ -313,8 +317,9 @@ def _cmd_ball_check(args):
         return 0, {"check": check, "answer": ans.label}
     if check == "diameter":
         q = parse_rational(payload["q"])
-        ans = diameter_upper(u).less_than(q, args.effort)
-        return 0, {"check": check, "answer": ans.label}
+        if q <= 0:
+            raise ParseFailure("threshold must be a positive rational")
+        return 0, {"check": check, "answer": "Yes" if diameter(u) < q else "NotYet"}
     if check == "positive":
         return 0, {"check": check, "answer": is_positive(u)}
     if check == "meet":

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .balls import BallOpen, FormalBall, diameter_upper, way_inside
+from .balls import BallOpen, FormalBall, diameter, dominated, way_inside
 from .carriers import MetricCarrier
 from .completion import member_query, point_of_carrier
 from .maps import MapRep, apply_map
@@ -100,23 +100,11 @@ class MMInstance:
     data: dict
 
 
-def _contained(small: BallOpen, big: BallOpen) -> bool:
-    """Ball-level containment: each ball of small inside one ball of big."""
-    for bs in small.balls:
-        ok = False
-        for bb in big.balls:
-            if small.carrier.dist(bs.center, bb.center) + bs.radius <= bb.radius:
-                ok = True
-                break
-        if not ok:
-            return False
-    return True
-
-
 def validate_instance(inst: MMInstance) -> None:
     """Reject malformed instances (missing parts or failed side conditions).
 
-    The side conditions of MM1 and MM5 are established at effort 16.
+    The side conditions of MM1 and MM5 are exact decisions on the ball
+    representation; ``way_inside`` ignores the effort 16 it is given.
     """
     need = MM_PARTS.get(inst.axiom) if isinstance(inst.axiom, str) else None
     if need is None:
@@ -125,7 +113,6 @@ def validate_instance(inst: MMInstance) -> None:
         if key not in inst.data:
             raise ValueError(f"{inst.axiom} instance missing part {key!r}")
     d = inst.data
-    effort = 16
     for key in need:
         if key in RATIONAL_PARTS:
             if parse_rational(d[key]) <= 0:
@@ -134,21 +121,18 @@ def validate_instance(inst: MMInstance) -> None:
             raise ValueError(f"{inst.axiom}: part {key!r} must be non-empty")
 
     if inst.axiom == "MM1":
-        if not _contained(d["u_small"], d["u"]):
+        if not dominated(d["u_small"], d["u"], 0):
             raise ValueError("MM1: u_small not contained in u")
-        if not _contained(d["v_small"], d["v"]):
+        if not dominated(d["v_small"], d["v"], 0):
             raise ValueError("MM1: v_small not contained in v")
     elif inst.axiom == "MM5":
         for i in ("1", "2"):
             q = parse_rational(d["q" + i])
-            if not diameter_upper(d["w" + i]).less_than(q, effort).is_yes:
+            if diameter(d["w" + i]) >= q:
                 raise ValueError(f"MM5: delta(w{i}) < q{i} not established")
-            if not way_inside(d["v" + i + "p"], q, d["v" + i], effort).is_yes:
+            if not way_inside(d["v" + i + "p"], q, d["v" + i], 16).is_yes:
                 raise ValueError(f"MM5: v{i}p not way inside v{i} with margin q{i}")
-        if not (
-            _contained(d["tau"], d["w1"])
-            and _contained(d["tau"], d["w2"])
-        ):
+        if not (dominated(d["tau"], d["w1"], 0) and dominated(d["tau"], d["w2"], 0)):
             raise ValueError("MM5: tau not contained in both w1 and w2")
 
 
@@ -198,7 +182,7 @@ def _check_mm2(d, f, effort):
         d["u"].carrier, FormalBall(b.center, min(b.radius, q / 4))
     )
     if (
-        diameter_upper(small).less_than(q, effort).is_yes
+        diameter(small) < q
         and holds(PairProp(small, d["v"]), f, effort).is_yes
     ):
         return _result("MM2", PASS, effort, witness=small.to_json())
@@ -216,7 +200,7 @@ def _check_mm3(d, f, effort):
     center = image.approx(m)
     v = BallOpen.of(f.target, FormalBall(center, q / 4))
     if (
-        diameter_upper(v).less_than(q, effort).is_yes
+        diameter(v) < q
         and holds(PairProp(d["u"], v), f, max(effort, m + 2)).is_yes
     ):
         return _result("MM3", PASS, effort, witness=v.to_json())
@@ -277,8 +261,8 @@ def _check_mm5(d, f, effort):
         v = BallOpen.of(carrier, FormalBall(c, rho))
         n = stage_below(rho / 4)
         if (
-            _contained(v, d["v1"])
-            and _contained(v, d["v2"])
+            dominated(v, d["v1"], 0)
+            and dominated(v, d["v2"], 0)
             and holds(PairProp(d["tau"], v), f, max(effort, n + 2)).is_yes
         ):
             return _result("MM5", PASS, effort, witness=v.to_json())
@@ -286,6 +270,10 @@ def _check_mm5(d, f, effort):
 
 
 def _check_mm6(d, f, effort):
+    """Pass certifies delta(v join vp) <= delta(u) + delta(v) + delta(vp) for
+    the formal diameter (``balls.diameter``), an upper bound on the denoted
+    one.  Fail needs a pair of centers at exact distance above that sum,
+    which refutes the inequality for the denoted diameters too."""
     for key in ("v", "vp"):
         if not holds(PairProp(d["u"], d[key]), f, effort).is_yes:
             return _result(
@@ -293,28 +281,25 @@ def _check_mm6(d, f, effort):
             )
     carrier = d["v"].carrier
     join = BallOpen(carrier, d["v"].balls + d["vp"].balls)
-    lhs_hi = diameter_upper(join).bound(effort)
-    rhs_hi = sum(
-        (diameter_upper(d[k]).bound(effort) for k in ("u", "v", "vp")),
-        Fraction(0),
-    )
-    if lhs_hi <= rhs_hi:
+    lhs = diameter(join)
+    rhs = sum((diameter(d[k]) for k in ("u", "v", "vp")), Fraction(0))
+    if lhs <= rhs:
         return _result(
             "MM6", PASS, effort,
-            bound={"lhs": rational_str(lhs_hi), "rhs": rational_str(rhs_hi)},
+            bound={"lhs": rational_str(lhs), "rhs": rational_str(rhs)},
         )
     # certified refutation needs a center pair provably farther than rhs
     centers = [b.center for b in join.balls]
     for i, a in enumerate(centers):
         for b in centers[i + 1 :]:
             d_ab = carrier.dist(a, b)
-            if d_ab > rhs_hi:
+            if d_ab > rhs:
                 return _result(
                     "MM6", FAIL, effort,
                     witness={
                         "pair": [repr(a), repr(b)],
                         "distance_lower": rational_str(d_ab),
-                        "rhs_upper": rational_str(rhs_hi),
+                        "rhs_upper": rational_str(rhs),
                     },
                 )
     return _result("MM6", INCONCLUSIVE, effort, reason="bounds too loose to decide")

@@ -110,6 +110,21 @@ def test_mm_check_pass_exit_0(capsys):
     assert out["result"] == "Pass"
 
 
+def test_mm_check_fail_exit_1(capsys):
+    # x -> 2x maps u's centers 1 apart to -1 and 1, the centers of v and vp
+    payload = json.dumps({"axiom": "MM6", "map": "scale(2)", "parts": {
+        "u": [{"c": "-1/2", "r": "1/8"}, {"c": "1/2", "r": "1/8"}],
+        "v": [{"c": "-1", "r": "1/8"}], "vp": [{"c": "1", "r": "1/8"}],
+    }})
+    code = main(["mm-check", payload])
+    out, err = capsys.readouterr()
+    assert code == 1 and err == "" and out.count("\n") == 1
+    report = json.loads(out)
+    assert report["result"] == "Fail"
+    assert report["witness"] == {"pair": ["Fraction(-1, 1)", "Fraction(1, 1)"],
+                                 "distance_lower": "2/1", "rhs_upper": "7/4"}
+
+
 def test_mm_check_bad_axiom_exit_2(capsys):
     code, out = run_cli(capsys, "mm-check", json.dumps({"axiom": "MM9", "parts": {}}))
     assert code == 2
@@ -308,12 +323,23 @@ TWO_POINTS = {"type": "finite", "n": 2, "d": [["0", "1"], ["1", "0"]]}
         # a subset is a JSON array: never a string's characters or an object's keys
         ["admissible", json.dumps({"n": 12, "lowers": [["11", "0"]], "uppers": []})],
         ["admissible", json.dumps({"n": 2, "lowers": [[{"1": 2}, "0"]], "uppers": []})],
+        # a ball open is a JSON array: never an object's keys or a string's characters
+        ["ball-check", json.dumps({"check": "diameter", "u": {}, "q": "1"})],
+        ["ball-check", json.dumps({"check": "positive", "u": ""})],
+        ["ball-check", json.dumps({
+            "check": "way-inside", "u": [{"c": "0", "r": "1"}], "eps": "1", "v": {},
+        })],
+        ["ball-check", json.dumps({"check": "meet", "u": [{"c": "0", "r": "1"}], "v": ""})],
+        # the diameter threshold is a positive rational
+        *(["ball-check", json.dumps({
+            "check": "diameter", "u": [{"c": "0", "r": "1"}], "q": q,
+        })] for q in ("0", "-1")),
     ],
 )
 def test_contract_errors_exit_2_with_one_error_document(capsys, argv):
     code = main(argv)
-    out = capsys.readouterr().out
-    assert code == 2
+    out, err = capsys.readouterr()
+    assert code == 2 and err == ""
     assert out.count("\n") == 1 and set(json.loads(out)) == {"error"}
 
 

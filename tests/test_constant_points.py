@@ -6,10 +6,10 @@ is constant too.  ``member_query`` decides such a point from stage
 ``effort`` alone, and the MM4 interior scan reads one stage of a constant
 image.  Both are compared here with the loop over every stage, kept below
 as a reference, and with unflagged twins whose stages are the same element.
-Likewise ``diameter_upper`` is a constant upper real, compared with the
-bound by its formula at every effort, and ``point_distance`` of two
-constant points reads one raw bound, compared with the minimum over every
-stage.
+Likewise ``diameter`` is compared with its formula and ``diameter_upper``
+with the same bound at every effort, ``dominated`` with a plain double
+loop, and ``point_distance`` of two constant points reads one raw bound,
+compared with the minimum over every stage.
 """
 
 import gc
@@ -21,7 +21,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from formalballs import function_locale
-from formalballs.balls import BallOpen, FormalBall, diameter_upper
+from formalballs.balls import (
+    BallOpen,
+    FormalBall,
+    diameter,
+    diameter_upper,
+    dominated,
+    way_inside,
+)
 from formalballs.carriers import finite_space, product_space, rational_line
 from formalballs.completion import (
     CompletionPoint,
@@ -190,7 +197,7 @@ def test_constant_points_leave_no_cyclic_garbage():
 
 
 def reference_diameter(u):
-    """diameter_upper's bound by its formula: the largest 2 r over the balls
+    """diameter's value by its formula: the largest 2 r over the balls
     and d(ci, cj) + ri + rj over the ball pairs."""
     best = Fraction(0)
     for i, bi in enumerate(u.balls):
@@ -220,8 +227,43 @@ def test_diameters_match_the_bound_at_every_effort(data, name, effort, q):
     balls = data.draw(st.lists(st.tuples(centers, radii), min_size=1, max_size=4))
     u = BallOpen(carrier, tuple(FormalBall(c, r) for c, r in balls))
     want = reference_diameter(u)
+    assert diameter(u) == want and type(diameter(u)) is Fraction
     assert diameter_upper(u).bound(effort) == want
     assert diameter_upper(u).less_than(q, effort).is_yes == (want < q)
+
+
+def reference_dominated(u, v, margin):
+    """Each ball of u inside one ball of v with the margin to spare."""
+    for bu in u.balls:
+        ok = False
+        for bv in v.balls:
+            if u.carrier.dist(bu.center, bv.center) + bu.radius + margin <= bv.radius:
+                ok = True
+                break
+        if not ok:
+            return False
+    return True
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.sampled_from(sorted(CARRIERS)),
+       st.builds(Fraction, st.integers(1, 16), st.integers(1, 8)))
+def test_dominated_matches_the_double_loop(data, name, eps):
+    carrier, centers, _ = CARRIERS[name]
+
+    def ball_open(min_size):
+        balls = data.draw(st.lists(st.tuples(centers, radii), min_size=min_size, max_size=4))
+        return BallOpen(carrier, tuple(FormalBall(c, r) for c, r in balls))
+
+    u, v = ball_open(1), ball_open(0)
+    if data.draw(st.booleans()):  # v also holds u's balls fattened by eps: the boundary
+        v = BallOpen(carrier, v.balls + tuple(
+            FormalBall(b.center, b.radius + eps) for b in u.balls))
+    for margin in (0, eps):
+        assert dominated(u, v, margin) == reference_dominated(u, v, margin)
+    # way_inside is the domination scan with margin eps, at any effort
+    effort = data.draw(st.integers(0, 64))
+    assert way_inside(u, eps, v, effort).is_yes == dominated(u, v, eps)
 
 
 def reference_distance(p, q, effort):

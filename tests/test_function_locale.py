@@ -14,7 +14,14 @@ from formalballs.function_locale import (
     tau_from_point,
     validate_instance,
 )
-from formalballs.maps import MapRep, identity_map, line_map, proj_map
+from formalballs.maps import (
+    UNIFORM,
+    MapRep,
+    identity_map,
+    line_map,
+    lipschitz_line_map,
+    proj_map,
+)
 from formalballs.upper import Query
 
 LINE = rational_line()
@@ -97,6 +104,46 @@ def test_mm6_half_map_pass():
     )
     rep = check_axiom(inst, half, 16)
     assert rep["result"] == "Pass"
+
+
+def formal_diameter(balls):
+    """The formal diameter on plain Fractions: max of 2r and |ci - cj| + ri + rj."""
+    best = Fraction(0)
+    for i, (ci, ri) in enumerate(balls):
+        best = max(best, 2 * ri)
+        for cj, rj in balls[i + 1 :]:
+            best = max(best, abs(ci - cj) + ri + rj)
+    return best
+
+
+MM6_U = ((Fraction(-1, 2), Fraction(1, 8)), (Fraction(1, 2), Fraction(1, 8)))
+
+
+def test_mm6_fail_witness_reverifies():
+    # x -> 2x is not a metric map: it maps u's two centers 1 apart to -1 and 1
+    double = lipschitz_line_map(lambda x: 2 * x, 2, UNIFORM, "scale 2")
+    parts = {"u": MM6_U, "v": ((Fraction(-1), Fraction(1, 8)),),
+             "vp": ((Fraction(1), Fraction(1, 8)),)}
+    inst = MMInstance("MM6", {k: bo(*p) for k, p in parts.items()})
+    rep = check_axiom(inst, double, 16)
+    assert rep["result"] == "Fail"
+    wit = rep["witness"]
+    rhs = sum((formal_diameter(p) for p in parts.values()), Fraction(0))
+    assert rhs == Fraction(7, 4) and Fraction(wit["rhs_upper"]) == rhs
+    # the reported pair is two centers of v and vp at the reported distance
+    d = Fraction(wit["distance_lower"])
+    assert d == 2 > rhs
+    centers = [c for c, _r in parts["v"] + parts["vp"]]
+    pairs = [[repr(a), repr(b)] for a in centers for b in centers if abs(a - b) == d]
+    assert wit["pair"] in pairs
+
+
+def test_mm6_isometry_pass_bound():
+    parts = {"u": bo(*MM6_U), "v": bo((Fraction(-1, 2), Fraction(1, 4))),
+             "vp": bo((Fraction(1, 2), Fraction(1, 4)))}
+    rep = check_axiom(MMInstance("MM6", parts), line_map(1, 0), 16)
+    assert rep["result"] == "Pass"
+    assert rep["bound"] == {"lhs": "3/2", "rhs": "9/4"}
 
 
 def test_mm2_mm4_pass_on_identity():
