@@ -2,7 +2,9 @@
 
 A map induces a filter of pairs "f maps u into v"; the six axioms of that
 presentation are checked on concrete instances with a three-valued verdict.
-From pair queries alone we can reconstruct where a point's image lies.
+The pairs (b(c, q/4), v shrunk by q) that a map satisfies reconstruct the
+region it sends into v; one membership slack per grid center c answers the
+pair at every shrink level q.
 """
 
 from fractions import Fraction
@@ -41,9 +43,8 @@ shifted = line_map(1, 10, label="x+10")
 rep = check_axiom(MMInstance("MM4", {"u": bo((0, 1)), "v": bo((0, 1))}), shifted, 16)
 print(f"  MM4 on x+10 with untouched v:    {rep['result']} (premise never holds)")
 
-print("\nrecovering a point's preimage region from pair queries only:")
-oracle = lambda pp, e: holds(pp, shifted, e)
-tau = tau_from_point(oracle, LINE, bo((0, 2)), 256)
+print("\nrecovering the region x+10 sends into b(0,2) from the pairs it satisfies:")
+tau = tau_from_point(shifted, bo((0, 2)), 256)
 src = point_of_carrier(LINE, Fraction(-10))
 print(f"  -10 lands in the reconstructed region for x+10: "
       f"{member_query(src, tau, 32).label}")

@@ -34,6 +34,7 @@ from .completion import (
     FilterSeed,
     limit_point,
     member_query,
+    member_slack,
     pair_point,
     point_distance,
     point_of_carrier,

@@ -47,9 +47,16 @@ class MetricCarrier:
 
 
 def rational_line() -> MetricCarrier:
-    """The rational line with the archimedean distance |a - b|."""
+    """The rational line with the archimedean distance |a - b|.
+
+    ``dist`` subtracts two ``Fraction`` arguments as they are and converts
+    anything else (an int, or a float stage of a user's point) exactly
+    first, so every argument type gives the same exact value.
+    """
 
     def dist(a, b):
+        if type(a) is Fraction and type(b) is Fraction:
+            return abs(a - b)
         return abs(Fraction(a) - Fraction(b))
 
     def sample(rng: random.Random):

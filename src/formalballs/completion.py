@@ -81,7 +81,8 @@ def member_query(p: CompletionPoint, u: BallOpen, effort: int) -> Query:
     A point built constant (``_value`` set) is decided by stage ``effort``
     alone: its distance to each center is the same at every n, and the
     radius 2^-n is smallest at n = effort, so no earlier stage can succeed
-    where that one fails.
+    where that one fails.  ``member_slack`` gives the margin behind this
+    answer for every shrinking of u at once.
     """
     if p.carrier.kind != u.carrier.kind:
         raise ValueError("point and open live over different carriers")
@@ -97,6 +98,32 @@ def member_query(p: CompletionPoint, u: BallOpen, effort: int) -> Query:
             if d + r < b.radius:
                 return Query.YES
     return Query.NOT_YET
+
+
+def member_slack(p: CompletionPoint, u: BallOpen, effort: int):
+    """The largest margin r_b - d(x_n, c_b) - 2^-n over stages n <= effort
+    and balls b of u, an exact rational; None for the empty open.
+
+    ``member_query(p, u_q, effort)`` is Yes iff this slack exceeds q, where
+    u_q shrinks every radius by q and drops the balls with r_b <= q (such a
+    ball's margin is below r_b <= q anyway).  So one slack answers every
+    shrinking of u.  A point built constant counts stage ``effort`` alone,
+    as in ``member_query``.
+    """
+    if p.carrier.kind != u.carrier.kind:
+        raise ValueError("point and open live over different carriers")
+    if not u.balls:
+        return None
+    dist = p.carrier.dist
+    best = None
+    for n in (effort,) if p._value is not None else range(effort, -1, -1):
+        x = p.approx(n)
+        r = half_pow(n)
+        for b in u.balls:
+            slack = b.radius - dist(x, b.center) - r
+            if best is None or slack > best:
+                best = slack
+    return best
 
 
 def point_distance(p: CompletionPoint, q: CompletionPoint) -> UpperReal:

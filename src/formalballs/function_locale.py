@@ -12,11 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
 from .balls import BallOpen, FormalBall, diameter, dominated, way_inside
 from .carriers import MetricCarrier
-from .completion import member_query, point_of_carrier
+from .completion import member_query, member_slack, point_of_carrier
 from .maps import MapRep, apply_map
 from .numbers import half_pow, parse_rational, rational_str, stage_below
 from .upper import Query
@@ -46,21 +45,19 @@ class PairProp:
     v: BallOpen
 
 
-def holds(pp: PairProp, f: MapRep, effort: int, images=None) -> Query:
+def holds(pp: PairProp, f: MapRep, effort: int) -> Query:
     """Semi-decide the proposition against the map.
 
     Yes iff the image of some center of u is provably a member of v at
     this effort; sound for positivity of the pulled-back overlap.
-    ``images``, if given, is a dict from probe to its image point under f,
-    read and filled in place so repeated probes are imaged once.
     """
-    if _holds_witness(pp.u, pp.v, f, effort, images=images) is None:
+    if _holds_witness(pp.u, pp.v, f, effort) is None:
         return Query.NOT_YET
     return Query.YES
 
 
 def _holds_witness(
-    u: BallOpen, v: BallOpen, f: MapRep, effort: int, extra_probes=(), images=None
+    u: BallOpen, v: BallOpen, f: MapRep, effort: int, extra_probes=()
 ):
     """A witnessing (ball of u, image point) for holds, or None.
 
@@ -78,11 +75,7 @@ def _holds_witness(
                 probes.append((b, x))
                 break
     for b, x in probes:
-        image = None if images is None else images.get(x)
-        if image is None:
-            image = apply_map(f, point_of_carrier(f.source, x))
-            if images is not None:
-                images[x] = image
+        image = apply_map(f, point_of_carrier(f.source, x))
         if member_query(image, v, effort).is_yes:
             return b, image
     return None
@@ -309,11 +302,13 @@ def _check_mm6(d, f, effort):
 
 
 def _grid_centers(carrier: MetricCarrier, v: BallOpen, step: Fraction, span: int):
+    """The distinct grid centers, in order; a repeated one keeps its first place."""
     if carrier.points is not None:
-        return list(carrier.points)
+        return list(dict.fromkeys(carrier.points))
     if carrier.kind == ("line",):
         k_max = int(Fraction(span) / step)
-        return [k * step for k in range(-k_max, k_max + 1)]
+        num, den = step.numerator, step.denominator
+        return [Fraction(k * num, den) for k in range(-k_max, k_max + 1)]
     if carrier.components is not None:
         left, right = (_grid_centers(c, v, step, span) for c in carrier.components)
         return [(a, b) for a in left for b in right]
@@ -327,7 +322,7 @@ def _grid_centers(carrier: MetricCarrier, v: BallOpen, step: Fraction, span: int
             for a in v.balls
             for b in v.balls
         )
-    return centers
+    return list(dict.fromkeys(centers))
 
 
 def _grid(effort: int):
@@ -336,36 +331,34 @@ def _grid(effort: int):
     return levels[: min(4, max(1, effort.bit_length() // 2))], 2 + effort // 16
 
 
-def tau_from_point(
-    oracle: Callable[[PairProp, int], Query],
-    source: MetricCarrier,
-    v: BallOpen,
-    effort: int,
-) -> BallOpen:
-    """Under-approximate the source open tracing v through the point oracle.
+def tau_from_point(f: MapRep, v: BallOpen, effort: int) -> BallOpen:
+    """Under-approximate the source open that f maps into v.
 
-    Collects grid balls W with small diameter for which the oracle affirms
-    (W, V') for some q-shrinking V' of v.  The grid (dyadic levels, span
-    growing with effort) only ever adds balls as effort grows.
+    Collects the grid balls W = b(c, q/4), of diameter q/2, for which f
+    satisfies the pair (W, v shrunk by q) at effort min(effort, 24).  That
+    pair query is Yes iff ``member_slack`` of the image of c in v exceeds
+    q, so each grid center is imaged and measured once, in level-then-grid
+    order, and one slack answers it at every shrink level.  The memo of
+    slacks lives for this call only.  The grid (dyadic levels, span growing
+    with effort) only ever adds balls as effort grows.
     """
+    source = f.source
     levels, span = _grid(effort)
     query_effort = min(effort, 24)
-    accepted: dict = {}
+    slacks: dict = {}
+    accepted = []
     for q in levels:
-        shrunk = [
-            FormalBall(b.center, b.radius - q) for b in v.balls if b.radius > q
-        ]
-        if not shrunk:
+        if all(b.radius <= q for b in v.balls):
             continue
-        v_inner = BallOpen(v.carrier, tuple(shrunk))
-        for c in _grid_centers(source, v, q / 4, span):
-            key = (c, q / 4)
-            if key in accepted:
-                continue
-            w = BallOpen.of(source, FormalBall(c, q / 4))
-            if oracle(PairProp(w, v_inner), query_effort).is_yes:
-                accepted[key] = w.balls[0]
-    return BallOpen(source, tuple(accepted.values()))
+        radius = q / 4
+        for c in _grid_centers(source, v, radius, span):
+            slack = slacks.get(c)
+            if slack is None:
+                image = apply_map(f, point_of_carrier(source, c))
+                slack = slacks[c] = member_slack(image, v, query_effort)
+            if slack > q:
+                accepted.append(FormalBall(c, radius))
+    return BallOpen(source, tuple(accepted))
 
 
 def round_trip(
@@ -376,17 +369,11 @@ def round_trip(
     Soundness: a probe in the reconstructed open must have its image in v
     (a violation is reported and must never occur for a metric map).
     Coverage: fraction of probes with image in v that the reconstruction
-    already captures at this effort.
-
-    The ``holds`` oracle shares one dict from grid center to image point
-    across the shrink levels, so each center is imaged once per call.  The
-    dict lives only for this call: it is never kept on the map, where
-    equal centers of different types (1 and Fraction(1)) would share one.
+    already captures at this effort.  The reconstruction is
+    ``tau_from_point``: one membership slack per grid center answers every
+    pair query (b(c, q/4), v shrunk by q).
     """
-    images: dict = {}
-    tau = tau_from_point(
-        lambda pp, e: holds(pp, f, e, images=images), f.source, v, effort
-    )
+    tau = tau_from_point(f, v, effort)
     query_effort = max(32, min(effort, 64))
     violations = []
     covered = 0

@@ -9,7 +9,8 @@ as a reference, and with unflagged twins whose stages are the same element.
 Likewise ``diameter`` is compared with its formula and ``diameter_upper``
 with the same bound at every effort, ``dominated`` with a plain double
 loop, and ``point_distance`` of two constant points reads one raw bound,
-compared with the minimum over every stage.
+compared with the minimum over every stage.  ``member_slack`` exceeds q
+exactly when ``member_query`` answers Yes on the open shrunk by q.
 """
 
 import gc
@@ -34,6 +35,7 @@ from formalballs.completion import (
     CompletionPoint,
     limit_point,
     member_query,
+    member_slack,
     pair_point,
     point_distance,
     point_of_carrier,
@@ -340,3 +342,29 @@ def test_distances_off_the_fold_take_every_stage():
         calls = _counted(d)
         assert not d.less_than(reference_distance(p, q, 12), 12).is_yes
         assert sorted(calls) == list(range(13))
+
+
+SHRINK_LEVELS = (Fraction(2), Fraction(1), Fraction(1, 2), Fraction(1, 4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.sampled_from(sorted(CARRIERS)), st.booleans(), st.integers(0, 32),
+       st.one_of(st.sampled_from(SHRINK_LEVELS),
+                 st.builds(Fraction, st.integers(1, 64), st.integers(1, 16))))
+def test_member_slack_answers_every_shrinking(data, name, moving, effort, q):
+    carrier, centers, _ = CARRIERS[name]
+    x = data.draw(centers)
+    p = _point(name, x, moving)
+    if moving and name == "line":  # stage n anywhere in [x - 2^-n, x + 2^-n]
+        signs = data.draw(st.lists(st.sampled_from((-1, 0, 1)), min_size=1, max_size=4))
+        p = CompletionPoint(LINE, lambda n: x + signs[n % len(signs)] * half_pow(n))
+    balls = data.draw(st.lists(st.tuples(centers, radii), max_size=4))
+    v = BallOpen(carrier, tuple(FormalBall(c, r) for c, r in balls))
+    slack = member_slack(p, v, effort)
+    assert (slack is None) == (not v.balls)
+    # the drawn q, and the boundary: the slack itself and its neighbours
+    near = [] if slack is None else [slack, slack - half_pow(40), slack + half_pow(40)]
+    for t in [q] + [t for t in near if t > 0]:
+        shrunk = BallOpen(carrier, tuple(
+            FormalBall(b.center, b.radius - t) for b in v.balls if b.radius > t))
+        assert (slack is not None and slack > t) == member_query(p, shrunk, effort).is_yes

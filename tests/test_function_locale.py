@@ -22,7 +22,6 @@ from formalballs.maps import (
     lipschitz_line_map,
     proj_map,
 )
-from formalballs.upper import Query
 
 LINE = rational_line()
 
@@ -189,32 +188,29 @@ def test_premise_not_established_is_inconclusive():
 
 def test_tau_from_point_identity():
     ident = identity_map(LINE)
-    oracle = lambda pp, e: holds(pp, ident, e)
-    tau = tau_from_point(oracle, LINE, bo((0, 2)), 64)
+    tau = tau_from_point(ident, bo((0, 2)), 64)
     assert member_query(point_of_carrier(LINE, Fraction(0)), tau, 32).is_yes
     assert any(b.center == 0 for b in tau.balls)
 
 
 def test_tau_from_point_empty_oracle():
-    oracle = lambda _pp, _e: Query.NOT_YET
-    tau = tau_from_point(oracle, LINE, bo((0, 2)), 64)
+    # every grid center (span 6 at effort 64) maps into [94, 106], off b(0, 2)
+    tau = tau_from_point(line_map(1, 100), bo((0, 2)), 64)
     assert tau.balls == ()
 
 
 def test_tau_from_point_translation_needs_span():
     shifted = line_map(1, 10)
-    oracle = lambda pp, e: holds(pp, shifted, e)
-    near = tau_from_point(oracle, LINE, bo((0, 2)), 64)
+    near = tau_from_point(shifted, bo((0, 2)), 64)
     assert not member_query(point_of_carrier(LINE, Fraction(-10)), near, 32).is_yes
-    far = tau_from_point(oracle, LINE, bo((0, 2)), 256)
+    far = tau_from_point(shifted, bo((0, 2)), 256)
     assert member_query(point_of_carrier(LINE, Fraction(-10)), far, 32).is_yes
 
 
 def test_tau_monotone_in_effort():
     ident = identity_map(LINE)
-    oracle = lambda pp, e: holds(pp, ident, e)
-    small = tau_from_point(oracle, LINE, bo((0, 2)), 32)
-    big = tau_from_point(oracle, LINE, bo((0, 2)), 256)
+    small = tau_from_point(ident, bo((0, 2)), 32)
+    big = tau_from_point(ident, bo((0, 2)), 256)
     assert set(small.balls) <= set(big.balls)
 
 
@@ -228,6 +224,24 @@ def test_round_trip_examples():
     shifted = line_map(1, 10)
     rep = round_trip(shifted, bo((0, 1)), [point_of_carrier(LINE, Fraction(0))], 64)
     assert rep["sound"] and rep["total_in_v"] == 0
+
+
+def test_round_trip_reports_a_violation():
+    # not a function of the value: the Fraction grid centers map to 0, in
+    # v = b(0, 2), and the int probe 1 maps to 100, outside it
+    by_type = MapRep(
+        source=LINE,
+        target=LINE,
+        carrier_map=lambda x: point_of_carrier(
+            LINE, 0 if type(x) is Fraction else 100
+        ),
+        modulus=lambda eps: eps,
+    )
+    probe = point_of_carrier(LINE, 1)
+    rep = round_trip(by_type, bo((0, 2)), [probe], 16)
+    assert rep["sound"] is False
+    assert rep["violations"] == [probe.to_json(4)]
+    assert rep["total_in_v"] == 0
 
 
 def test_round_trip_of_a_product_source():
