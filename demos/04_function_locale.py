@@ -3,8 +3,9 @@
 A map induces a filter of pairs "f maps u into v"; the six axioms of that
 presentation are checked on concrete instances with a three-valued verdict.
 The pairs (b(c, q/4), v shrunk by q) that a map satisfies reconstruct the
-region it sends into v; one membership slack per grid center c answers the
-pair at every shrink level q.
+region it sends into v.  The image of a grid center c is measured once:
+the stage ball of the image that sits deepest inside v (``deepest_stage``)
+has a margin, and the pair holds at shrink level q iff that margin exceeds q.
 """
 
 from fractions import Fraction

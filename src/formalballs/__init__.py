@@ -26,15 +26,16 @@ from .balls import (
     is_positive,
     meet_witness,
     neighborhood,
+    slack,
     way_inside,
 )
 from .completion import (
     CertificateError,
     CompletionPoint,
     FilterSeed,
+    deepest_stage,
     limit_point,
     member_query,
-    member_slack,
     pair_point,
     point_distance,
     point_of_carrier,

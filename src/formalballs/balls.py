@@ -2,8 +2,8 @@
 
 The executable calculus, exact over rational carrier distances: the formal
 diameter, single-ball domination (containment and the sound "way inside"
-test), the q-neighborhood operator (radius fattening), positivity, and
-meet witnesses.
+test), the q-neighborhood operator (radius fattening), positivity, the
+slack of an element in an open, and meet witnesses.
 """
 
 from __future__ import annotations
@@ -130,14 +130,25 @@ def is_positive(u: BallOpen) -> bool:
     return bool(u.balls)
 
 
+def slack(u: BallOpen, x) -> Optional[Fraction]:
+    """The largest r - d(x, c) over the balls b(c, r) of u containing x
+    (d < r), an exact positive rational; None when no ball contains x."""
+    dist = u.carrier.dist
+    best = None
+    for b in u.balls:
+        d = dist(x, b.center)
+        if d < b.radius:
+            s = b.radius - d
+            if best is None or s > best:
+                best = s
+    return best
+
+
 def meet_witness(u: BallOpen, v: BallOpen, effort: int) -> Optional[FormalBall]:
     """Search for a ball lying way inside both u and v.
 
-    A candidate center's slack in an open is the largest radius - d over
-    its balls; the witness needs a positive slack in both.  That maximum
-    is positive iff some ball contains the candidate (d < radius), and
-    then it is the maximum over the containing balls alone, so only those
-    are subtracted.
+    A candidate center c qualifies when it has a slack in both opens; the
+    witness is b(c, s/4) for the smaller slack s.
 
     Returns None if no witness was found; that is not a refutation of
     overlap.  Carrier distances are exact, so the answer does not depend
@@ -145,36 +156,21 @@ def meet_witness(u: BallOpen, v: BallOpen, effort: int) -> Optional[FormalBall]:
     """
     _require_same_carrier(u, v)
     carrier = u.carrier
-    candidates = []
     if carrier.points is not None:
-        candidates.extend(carrier.points)
+        candidates = list(carrier.points)
     else:
-        for b in u.balls:
-            candidates.append(b.center)
-        for b in v.balls:
-            candidates.append(b.center)
+        candidates = [b.center for b in u.balls + v.balls]
         if carrier.midpoint is not None:
-            for bu in u.balls:
-                for bv in v.balls:
-                    candidates.append(carrier.midpoint(bu.center, bv.center))
+            candidates += [carrier.midpoint(bu.center, bv.center)
+                           for bu in u.balls for bv in v.balls]
     for c in candidates:
-        slack = None
-        for open_ in (u, v):
-            best = None
-            for b in open_.balls:
-                d = carrier.dist(c, b.center)
-                if d < b.radius:
-                    s = b.radius - d
-                    if best is None or s > best:
-                        best = s
-            if best is None:
-                slack = None
-                break
-            slack = best if slack is None else min(slack, best)
-        if slack is not None:
-            w = FormalBall(c, slack / 4)
+        su = slack(u, c)
+        sv = None if su is None else slack(v, c)
+        if sv is not None:
+            eps = min(su, sv) / 4
+            w = FormalBall(c, eps)
             wo = BallOpen.of(carrier, w)
             # witness must sit way inside both opens with a positive margin
-            if dominated(wo, u, slack / 4) and dominated(wo, v, slack / 4):
+            if dominated(wo, u, eps) and dominated(wo, v, eps):
                 return w
     return None

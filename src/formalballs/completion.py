@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .balls import BallOpen, FormalBall, meet_witness, way_inside
+from .balls import BallOpen, FormalBall, meet_witness, slack, way_inside
 from .carriers import MetricCarrier, product_space
 from .numbers import half_pow
 from .upper import Query, UpperReal
@@ -43,11 +43,6 @@ class CompletionPoint:
         self._fn = approx_fn
         self._stages: dict[int, object] = {}
         self._value = value
-
-    @property
-    def is_constant(self) -> bool:
-        """Every stage is the same carrier element, known at construction."""
-        return self._value is not None
 
     def approx(self, n: int):
         if n < 0:
@@ -81,8 +76,8 @@ def member_query(p: CompletionPoint, u: BallOpen, effort: int) -> Query:
     A point built constant (``_value`` set) is decided by stage ``effort``
     alone: its distance to each center is the same at every n, and the
     radius 2^-n is smallest at n = effort, so no earlier stage can succeed
-    where that one fails.  ``member_slack`` gives the margin behind this
-    answer for every shrinking of u at once.
+    where that one fails.  ``deepest_stage`` gives the stage and margin
+    behind a Yes; this loop stops at the first stage ball inside u.
     """
     if p.carrier.kind != u.carrier.kind:
         raise ValueError("point and open live over different carriers")
@@ -100,29 +95,27 @@ def member_query(p: CompletionPoint, u: BallOpen, effort: int) -> Query:
     return Query.NOT_YET
 
 
-def member_slack(p: CompletionPoint, u: BallOpen, effort: int):
-    """The largest margin r_b - d(x_n, c_b) - 2^-n over stages n <= effort
-    and balls b of u, an exact rational; None for the empty open.
+def deepest_stage(p: CompletionPoint, u: BallOpen, effort: int):
+    """(margin, n) for the stage n <= effort whose ball sits deepest in u.
 
-    ``member_query(p, u_q, effort)`` is Yes iff this slack exceeds q, where
-    u_q shrinks every radius by q and drops the balls with r_b <= q (such a
-    ball's margin is below r_b <= q anyway).  So one slack answers every
-    shrinking of u.  A point built constant counts stage ``effort`` alone,
-    as in ``member_query``.
+    Stage n's margin is ``slack(u, x_n) - 2^-n``; the largest positive one
+    wins, the smallest n on a tie; None if no stage ball is inside u.
+    ``member_query(p, u_q, effort)`` is Yes iff the margin exceeds q, for
+    u_q shrinking each radius by q and dropping the balls with r <= q.  A
+    point built constant counts stage ``effort`` alone, as in member_query.
     """
     if p.carrier.kind != u.carrier.kind:
         raise ValueError("point and open live over different carriers")
     if not u.balls:
         return None
-    dist = p.carrier.dist
     best = None
     for n in (effort,) if p._value is not None else range(effort, -1, -1):
-        x = p.approx(n)
-        r = half_pow(n)
-        for b in u.balls:
-            slack = b.radius - dist(x, b.center) - r
-            if best is None or slack > best:
-                best = slack
+        s = slack(u, p.approx(n))
+        if s is not None:
+            margin = s - half_pow(n)
+            # descending n: on a tie the smaller stage replaces the larger
+            if margin > 0 and (best is None or margin >= best[0]):
+                best = (margin, n)
     return best
 
 

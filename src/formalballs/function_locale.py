@@ -13,9 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .balls import BallOpen, FormalBall, diameter, dominated, way_inside
+from .balls import BallOpen, FormalBall, diameter, dominated, slack, way_inside
 from .carriers import MetricCarrier
-from .completion import member_query, member_slack, point_of_carrier
+from .completion import deepest_stage, member_query, point_of_carrier
 from .maps import MapRep, apply_map
 from .numbers import half_pow, parse_rational, rational_str, stage_below
 from .upper import Query
@@ -56,26 +56,14 @@ def holds(pp: PairProp, f: MapRep, effort: int) -> Query:
     return Query.YES
 
 
-def _holds_witness(
-    u: BallOpen, v: BallOpen, f: MapRep, effort: int, extra_probes=()
-):
-    """A witnessing (ball of u, image point) for holds, or None.
-
-    Probes the centers of u first, then each extra probe that provably
-    lies inside a ball of u (which is the ball reported for it).
-    """
+def _holds_witness(u: BallOpen, v: BallOpen, f: MapRep, effort: int):
+    """The first ball of u whose center's image is in v, and that image; or None."""
     if not u.balls or not v.balls:
         return None
     if f.source.kind != u.carrier.kind:
         raise ValueError("proposition source does not match the map's source")
-    probes = [(b, b.center) for b in u.balls]
-    for x in extra_probes:
-        for b in u.balls:
-            if u.carrier.dist(x, b.center) < b.radius:
-                probes.append((b, x))
-                break
-    for b, x in probes:
-        image = apply_map(f, point_of_carrier(f.source, x))
+    for b in u.balls:
+        image = apply_map(f, point_of_carrier(f.source, b.center))
         if member_query(image, v, effort).is_yes:
             return b, image
     return None
@@ -98,6 +86,8 @@ def validate_instance(inst: MMInstance) -> None:
 
     The side conditions of MM1 and MM5 are exact decisions on the ball
     representation; ``way_inside`` ignores the effort 16 it is given.
+    MM1's containment of u_small in u lets its conclusion search probe
+    the centers of both, as the one open u union u_small.
     """
     need = MM_PARTS.get(inst.axiom) if isinstance(inst.axiom, str) else None
     if need is None:
@@ -158,9 +148,9 @@ def check_axiom(inst: MMInstance, f: MapRep, effort: int) -> dict:
 def _check_mm1(d, f, effort):
     if _holds_witness(d["u_small"], d["v_small"], f, effort) is None:
         return _result("MM1", INCONCLUSIVE, effort, reason="premise not established")
-    # centers of the small parts are valid probes for the large ones
-    probes = [b.center for b in d["u_small"].balls]
-    if _holds_witness(d["u"], d["v"], f, effort, probes) is not None:
+    # u_small lies inside u, so u and its union with u_small are one open
+    u = BallOpen(d["u"].carrier, d["u"].balls + d["u_small"].balls)
+    if _holds_witness(u, d["v"], f, effort) is not None:
         return _result("MM1", PASS, effort)
     return _result("MM1", INCONCLUSIVE, effort, reason="conclusion search exhausted")
 
@@ -205,24 +195,15 @@ def _check_mm4(d, f, effort):
     if wit is None:
         return _result("MM4", INCONCLUSIVE, effort, reason="premise not established")
     _b, image = wit
-    carrier = d["v"].carrier
-    best = None  # (slack, stage, stage center)
-    top = min(effort, 24)
-    # a constant image's slack rises strictly with n, so its best is at top
-    # (apply_map flags the image of a constant when it builds it)
-    for n in (top,) if image.is_constant else range(top + 1):
-        z = image.approx(n)
-        for bv in d["v"].balls:
-            slack = bv.radius - carrier.dist(z, bv.center) - half_pow(n)
-            if slack > 0 and (best is None or slack > best[0]):
-                best = (slack, n, z)
-    if best is None:
+    deepest = deepest_stage(image, d["v"], min(effort, 24))
+    if deepest is None:
         return _result("MM4", INCONCLUSIVE, effort, reason="no interior stage found")
-    slack, n, z = best
-    inner = BallOpen.of(carrier, FormalBall(z, half_pow(n) + slack / 2))
-    k = stage_below(slack / 4)
+    margin, n = deepest
+    z = image.approx(n)
+    inner = BallOpen.of(d["v"].carrier, FormalBall(z, half_pow(n) + margin / 2))
+    k = stage_below(margin / 4)
     if (
-        way_inside(inner, slack / 4, d["v"], effort).is_yes
+        way_inside(inner, margin / 4, d["v"], effort).is_yes
         and holds(PairProp(d["u"], inner), f, max(effort, k + 2)).is_yes
     ):
         return _result("MM4", PASS, effort, witness=inner.to_json())
@@ -235,23 +216,17 @@ def _check_mm5(d, f, effort):
             return _result(
                 "MM5", INCONCLUSIVE, effort, reason="premise not established"
             )
-    carrier = d["v1"].carrier
     for b in d["tau"].balls:
         image = apply_map(f, point_of_carrier(f.source, b.center))
-        m = 8
-        for _round in range(4):
+        for m in (8, 16, 32, 64):
             c = image.approx(m)
-            slack = min(
-                max(bv.radius - carrier.dist(c, bv.center) for bv in vi.balls)
-                for vi in (d["v1"], d["v2"])
-            )
-            if slack > 0 and half_pow(m) < slack / 8:
+            slacks = [slack(vi, c) for vi in (d["v1"], d["v2"])]
+            if None not in slacks and half_pow(m) < min(slacks) / 8:
                 break
-            m *= 2
         else:
             continue
-        rho = slack / 2
-        v = BallOpen.of(carrier, FormalBall(c, rho))
+        rho = min(slacks) / 2
+        v = BallOpen.of(d["v1"].carrier, FormalBall(c, rho))
         n = stage_below(rho / 4)
         if (
             dominated(v, d["v1"], 0)
@@ -336,27 +311,28 @@ def tau_from_point(f: MapRep, v: BallOpen, effort: int) -> BallOpen:
 
     Collects the grid balls W = b(c, q/4), of diameter q/2, for which f
     satisfies the pair (W, v shrunk by q) at effort min(effort, 24).  That
-    pair query is Yes iff ``member_slack`` of the image of c in v exceeds
-    q, so each grid center is imaged and measured once, in level-then-grid
-    order, and one slack answers it at every shrink level.  The memo of
-    slacks lives for this call only.  The grid (dyadic levels, span growing
-    with effort) only ever adds balls as effort grows.
+    pair query is Yes iff the ``deepest_stage`` margin of the image of c
+    in v exceeds q, so each grid center is imaged and measured once, in
+    level-then-grid order, and one ``deepest_stage`` answers it at every
+    shrink level.  The memo of those answers lives for this call only.
+    The grid (dyadic levels, span growing with effort) only ever adds
+    balls as effort grows.
     """
     source = f.source
     levels, span = _grid(effort)
     query_effort = min(effort, 24)
-    slacks: dict = {}
+    deepest: dict = {}
     accepted = []
     for q in levels:
         if all(b.radius <= q for b in v.balls):
             continue
         radius = q / 4
         for c in _grid_centers(source, v, radius, span):
-            slack = slacks.get(c)
-            if slack is None:
+            if c not in deepest:
                 image = apply_map(f, point_of_carrier(source, c))
-                slack = slacks[c] = member_slack(image, v, query_effort)
-            if slack > q:
+                deepest[c] = deepest_stage(image, v, query_effort)
+            hit = deepest[c]
+            if hit is not None and hit[0] > q:
                 accepted.append(FormalBall(c, radius))
     return BallOpen(source, tuple(accepted))
 
@@ -370,8 +346,8 @@ def round_trip(
     (a violation is reported and must never occur for a metric map).
     Coverage: fraction of probes with image in v that the reconstruction
     already captures at this effort.  The reconstruction is
-    ``tau_from_point``: one membership slack per grid center answers every
-    pair query (b(c, q/4), v shrunk by q).
+    ``tau_from_point``: one ``deepest_stage`` margin per grid center
+    answers every pair query (b(c, q/4), v shrunk by q).
     """
     tau = tau_from_point(f, v, effort)
     query_effort = max(32, min(effort, 64))

@@ -123,15 +123,17 @@ def apply_map(f: MapRep, p: CompletionPoint) -> CompletionPoint:
 
     A constant p has the element x at every stage, whatever the depth, and
     the carrier map is a function of x, so it is called once, here: a
-    constant result gives the constant point of the target, and any other
-    result q the stages q.approx(n+1).
+    constant result q is the image itself, any other the stages
+    q.approx(n+1).  A result over another kind than the target raises.
     """
     if f.source.kind != p.carrier.kind:
         raise ValueError("point is not over the map's source carrier")
     if p._value is not None:
         q = f.carrier_map(p._value)
+        if q.carrier.kind != f.target.kind:
+            raise ValueError("carrier map result is not over the map's target")
         if q._value is not None:
-            return point_of_carrier(f.target, q._value)
+            return q
         return CompletionPoint(f.target, lambda n: q.approx(n + 1))
 
     def approx(n):

@@ -68,7 +68,7 @@ BINARY = {"add": add_r, "sub": sub_r, "max": max_r, "min": min_r}
 def test_unary_folds_match_the_stage_function(name, a, ns):
     op = UNARY[name]
     folded, twin = op(constant(a)), op(unflagged_twin(a))
-    assert folded.underlying.is_constant and not twin.underlying.is_constant
+    assert folded.underlying._value is not None and twin.underlying._value is None
     assert stages_of(folded, ns) == stages_of(twin, ns)
 
 
@@ -79,8 +79,8 @@ def test_binary_folds_match_the_stage_function(name, a, b, ns):
     folded = op(constant(a), constant(b))
     twin = op(unflagged_twin(a), unflagged_twin(b))
     mixed = op(constant(a), unflagged_twin(b))
-    assert folded.underlying.is_constant
-    assert not twin.underlying.is_constant and not mixed.underlying.is_constant
+    assert folded.underlying._value is not None
+    assert twin.underlying._value is None and mixed.underlying._value is None
     assert stages_of(folded, ns) == stages_of(twin, ns) == stages_of(mixed, ns)
 
 
@@ -88,7 +88,7 @@ def test_binary_folds_match_the_stage_function(name, a, b, ns):
 @given(rationals, rationals, stage_lists)
 def test_scale_folds_match_the_stage_function(a, c, ns):
     folded, twin = scale_r(constant(a), c), scale_r(unflagged_twin(a), c)
-    assert folded.underlying.is_constant
+    assert folded.underlying._value is not None
     assert stages_of(folded, ns) == stages_of(twin, ns)
 
 
@@ -129,7 +129,7 @@ def test_mul_r_folds_and_raises_as_the_stage_function(case, ns):
     mixed = outcome(lambda: mul_r(unflagged_twin(a), constant(b), bound), ns)
     assert folded == twin == mixed
     if folded[0] == "ok":
-        assert mul_r(constant(a), constant(b), bound).underlying.is_constant
+        assert mul_r(constant(a), constant(b), bound).underlying._value is not None
 
 
 @settings(max_examples=80, deadline=None)
@@ -146,7 +146,7 @@ def test_mul_c_folds_and_raises_as_the_stage_function(z, w, ns):
         product = mul_c(complex_constant(zr, zi), complex_constant(wr, wi), bound)
         total = add_c(product, complex_constant(zr, wi))
         for p in (product.re, product.im, total.re, total.im):
-            assert p.underlying.is_constant
+            assert p.underlying._value is not None
 
 
 def test_images_of_constants_are_flagged_when_built_and_fold():
@@ -158,17 +158,17 @@ def test_images_of_constants_are_flagged_when_built_and_fold():
         apply_map(compose_maps(line_map(1, 0), half), x),
         apply_map(proj_map(LINE, LINE, 1), pair),
     ]
-    assert pair.is_constant and pair._stages == {}
+    assert pair._value is not None and pair._stages == {}
     one = real_of_rational(1)
     for image in images:
-        assert image.is_constant and image._stages == {}  # flagged before any stage
+        assert image._value is not None and image._stages == {}  # flagged before any stage
         folded = add_r(RealPoint(image), one)
-        assert folded.underlying.is_constant
+        assert folded.underlying._value is not None
         assert image._stages == {}  # folding reads the slot, not a stage
         assert folded.approx(9) == Fraction(13, 6)
     twin_image = apply_map(half, unflagged_twin(Fraction(1, 3)).underlying)
     unflagged = add_r(RealPoint(twin_image), one)
-    assert not unflagged.underlying.is_constant
+    assert unflagged.underlying._value is None
     assert unflagged.approx(9) == Fraction(13, 6)
 
 

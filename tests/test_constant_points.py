@@ -9,8 +9,10 @@ as a reference, and with unflagged twins whose stages are the same element.
 Likewise ``diameter`` is compared with its formula and ``diameter_upper``
 with the same bound at every effort, ``dominated`` with a plain double
 loop, and ``point_distance`` of two constant points reads one raw bound,
-compared with the minimum over every stage.  ``member_slack`` exceeds q
-exactly when ``member_query`` answers Yes on the open shrunk by q.
+compared with the minimum over every stage.  ``slack`` and
+``deepest_stage`` are compared with the all-balls margin formula and MM4's
+ascending stage scan that they replace, and the ``deepest_stage`` margin
+exceeds q exactly when ``member_query`` answers Yes on the open shrunk by q.
 """
 
 import gc
@@ -28,14 +30,15 @@ from formalballs.balls import (
     diameter,
     diameter_upper,
     dominated,
+    slack,
     way_inside,
 )
 from formalballs.carriers import finite_space, product_space, rational_line
 from formalballs.completion import (
     CompletionPoint,
+    deepest_stage,
     limit_point,
     member_query,
-    member_slack,
     pair_point,
     point_distance,
     point_of_carrier,
@@ -102,8 +105,8 @@ def test_constant_points_answer_as_the_full_loop(x, u, effort, a, b, depth):
     want = full_loop_member_query(apply_map(f, twin), u, effort)
     assert member_query(image, u, effort) == want
     assert member_query(twin_image, u, effort) == want
-    assert flagged.is_constant and image.is_constant
-    assert not twin.is_constant and not twin_image.is_constant
+    assert flagged._value is not None and image._value is not None
+    assert twin._value is None and twin_image._value is None
 
 
 def test_pairs_of_constant_points_are_constant():
@@ -114,11 +117,11 @@ def test_pairs_of_constant_points_are_constant():
     for r in (pq, mixed):
         for effort in range(8):
             assert member_query(r, u, effort) == full_loop_member_query(r, u, effort)
-    assert pq.is_constant and not mixed.is_constant
+    assert pq._value is not None and mixed._value is None
 
     f = pair_maps(line_map(Fraction(1, 2), 0), line_map(-1, 1))
     image = apply_map(f, point_of_carrier(LINE, Fraction(3)))
-    assert image.is_constant
+    assert image._value is not None
 
 
 # stages 0, 0, 0, then 1/4 + 2^-n: a 2^-n-regular sequence with limit 1/4
@@ -152,7 +155,7 @@ def test_non_constant_carrier_map_results_keep_the_full_loop():
     u = BallOpen.of(LINE, FormalBall(0, Fraction(9, 16)))
     image = apply_map(late, point_of_carrier(LINE, Fraction(0)))
     assert member_query(image, u, 2) == Query.YES
-    assert not image.is_constant
+    assert image._value is None
     twin_image = apply_map(late, unflagged_twin(LINE, Fraction(0)))
     assert [image.approx(n) for n in range(8)] == [twin_image.approx(n) for n in range(8)]
 
@@ -164,7 +167,7 @@ def test_non_constant_carrier_map_results_keep_the_full_loop():
                 image = apply_map(lim, point_of_carrier(LINE, x))
                 want = full_loop_member_query(image, v, effort)
                 assert member_query(image, v, effort) == want
-                assert not image.is_constant
+                assert image._value is None
 
 
 @settings(max_examples=60, deadline=None)
@@ -344,6 +347,88 @@ def test_distances_off_the_fold_take_every_stage():
         assert sorted(calls) == list(range(13))
 
 
+def _drawn_point(data, name, moving):
+    """A constant point, or a moving one; a moving line point's stage n
+    sits anywhere in [x - 2^-n, x + 2^-n]."""
+    x = data.draw(CARRIERS[name][1])
+    if moving and name == "line":
+        signs = data.draw(st.lists(st.sampled_from((-1, 0, 1)), min_size=1, max_size=4))
+        return CompletionPoint(LINE, lambda n: x + signs[n % len(signs)] * half_pow(n))
+    return _point(name, x, moving)
+
+
+def _drawn_open(data, name):
+    carrier, centers, _ = CARRIERS[name]
+    balls = data.draw(st.lists(st.tuples(centers, radii), max_size=4))
+    return BallOpen(carrier, tuple(FormalBall(c, r) for c, r in balls))
+
+
+def reference_member_slack(p, u, effort):
+    """The all-balls margin: the largest r - d(x_n, c) - 2^-n over the
+    stages n <= effort (stage effort alone for a constant point) and every
+    ball b(c, r) of u, positive or not; None for the empty open."""
+    best = None
+    for n in (effort,) if p._value is not None else range(effort, -1, -1):
+        x = p.approx(n)
+        for b in u.balls:
+            s = b.radius - p.carrier.dist(x, b.center) - half_pow(n)
+            if best is None or s > best:
+                best = s
+    return best
+
+
+def reference_mm4_scan(p, u, top):
+    """MM4's interior-stage search: stages 0..top ascending (top alone for a
+    constant point), the first strictly larger positive margin wins."""
+    best = None
+    for n in (top,) if p._value is not None else range(top + 1):
+        z = p.approx(n)
+        for b in u.balls:
+            s = b.radius - p.carrier.dist(z, b.center) - half_pow(n)
+            if s > 0 and (best is None or s > best[0]):
+                best = (s, n)
+    return best
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.sampled_from(sorted(CARRIERS)), st.booleans(), st.integers(0, 32))
+def test_slack_and_deepest_stage_match_the_scans_they_replace(data, name, moving, effort):
+    p = _drawn_point(data, name, moving)
+    u = _drawn_open(data, name)
+    x = p.approx(effort)
+    every = [b.radius - u.carrier.dist(x, b.center) for b in u.balls]
+    assert slack(u, x) == (max(every) if every and max(every) > 0 else None)
+
+    hit = deepest_stage(p, u, effort)
+    assert hit == reference_mm4_scan(p, u, effort)
+    want = reference_member_slack(p, u, effort)
+    assert (hit is not None) == (want is not None and want > 0)
+    if hit is not None:
+        assert hit[0] == want
+
+
+@pytest.mark.parametrize("effort", [0, 1, 8, 24])
+def test_deepest_stage_keeps_the_smallest_stage_on_a_tie(effort):
+    # stage n is 1 - 2^-n: each stage ball b(1 - 2^-n, 2^-n) sits in b(0, 2)
+    # with the same margin 2 - 1 = 1
+    p = CompletionPoint(LINE, lambda n: 1 - half_pow(n))
+    u = BallOpen.of(LINE, FormalBall(Fraction(0), Fraction(2)))
+    assert deepest_stage(p, u, effort) == (1, 0) == reference_mm4_scan(p, u, effort)
+    flagged = point_of_carrier(LINE, Fraction(1, 2))
+    want = (Fraction(3, 2) - half_pow(effort), effort)
+    assert deepest_stage(flagged, u, effort) == want == reference_mm4_scan(flagged, u, effort)
+
+
+def test_deepest_stage_reads_no_stage_of_the_empty_open():
+    def unread(n):
+        raise AssertionError(f"stage {n} read")
+
+    p = CompletionPoint(LINE, unread)
+    assert deepest_stage(p, BallOpen(LINE, ()), 16) is None
+    with pytest.raises(ValueError):
+        deepest_stage(p, BallOpen.of(FOUR_POINTS, FormalBall(0, Fraction(1))), 16)
+
+
 SHRINK_LEVELS = (Fraction(2), Fraction(1), Fraction(1, 2), Fraction(1, 4))
 
 
@@ -352,19 +437,15 @@ SHRINK_LEVELS = (Fraction(2), Fraction(1), Fraction(1, 2), Fraction(1, 4))
        st.one_of(st.sampled_from(SHRINK_LEVELS),
                  st.builds(Fraction, st.integers(1, 64), st.integers(1, 16))))
 def test_member_slack_answers_every_shrinking(data, name, moving, effort, q):
-    carrier, centers, _ = CARRIERS[name]
-    x = data.draw(centers)
-    p = _point(name, x, moving)
-    if moving and name == "line":  # stage n anywhere in [x - 2^-n, x + 2^-n]
-        signs = data.draw(st.lists(st.sampled_from((-1, 0, 1)), min_size=1, max_size=4))
-        p = CompletionPoint(LINE, lambda n: x + signs[n % len(signs)] * half_pow(n))
-    balls = data.draw(st.lists(st.tuples(centers, radii), max_size=4))
-    v = BallOpen(carrier, tuple(FormalBall(c, r) for c, r in balls))
-    slack = member_slack(p, v, effort)
-    assert (slack is None) == (not v.balls)
-    # the drawn q, and the boundary: the slack itself and its neighbours
-    near = [] if slack is None else [slack, slack - half_pow(40), slack + half_pow(40)]
+    p = _drawn_point(data, name, moving)
+    v = _drawn_open(data, name)
+    carrier = v.carrier
+    hit = deepest_stage(p, v, effort)
+    assert (hit is not None) == member_query(p, v, effort).is_yes
+    margin = None if hit is None else hit[0]
+    # the drawn q, and the boundary: the margin itself and its neighbours
+    near = [] if margin is None else [margin, margin - half_pow(40), margin + half_pow(40)]
     for t in [q] + [t for t in near if t > 0]:
         shrunk = BallOpen(carrier, tuple(
             FormalBall(b.center, b.radius - t) for b in v.balls if b.radius > t))
-        assert (slack is not None and slack > t) == member_query(p, shrunk, effort).is_yes
+        assert (margin is not None and margin > t) == member_query(p, shrunk, effort).is_yes

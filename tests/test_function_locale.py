@@ -1,10 +1,16 @@
+import dataclasses
+import sys
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
+from unittest import mock
 
 import pytest
 
+from formalballs import function_locale
 from formalballs.balls import BallOpen, FormalBall
 from formalballs.carriers import gaussian_rationals, product_space, rational_line
-from formalballs.completion import member_query, point_of_carrier
+from formalballs.completion import CompletionPoint, member_query, point_of_carrier
 from formalballs.function_locale import (
     MMInstance,
     PairProp,
@@ -17,13 +23,16 @@ from formalballs.function_locale import (
 from formalballs.maps import (
     UNIFORM,
     MapRep,
+    apply_map,
     identity_map,
     line_map,
     lipschitz_line_map,
     proj_map,
 )
+from formalballs.numbers import half_pow
 
 LINE = rational_line()
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def bo(*pairs):
@@ -178,6 +187,41 @@ def test_mm5_pass_on_identity():
     assert rep["result"] == "Pass"
 
 
+def test_mm4_without_an_interior_stage_is_inconclusive():
+    # the image 0 lies 2^-30 inside b(1, 1 + 2^-30): stage 32 shows it,
+    # but the interior search stops at stage 24, where 2^-24 > 2^-30
+    v = bo((1, 1 + half_pow(30)))
+    rep = check_axiom(MMInstance("MM4", {"u": bo((0, 1)), "v": v}), line_map(1, 0), 32)
+    assert rep["result"] == "Inconclusive"
+    assert rep["reason"] == "no interior stage found"
+
+
+def test_mm5_doubles_the_stage_until_it_fits():
+    # the image 0 has slack 1/50 in both v_i: stage 8 is too coarse
+    # (2^-8 >= 1/400), stage 16 fits, and the witness is b(0, 1/100)
+    inst = MMInstance("MM5", {
+        "w1": bo((0, Fraction(1, 400))), "w2": bo((0, Fraction(1, 400))),
+        "tau": bo((0, Fraction(1, 1000))),
+        "q1": Fraction(1, 100), "q2": Fraction(1, 100),
+        "v1": bo((0, Fraction(1, 50))), "v2": bo((0, Fraction(1, 50))),
+        "v1p": bo((0, Fraction(1, 100))), "v2p": bo((0, Fraction(1, 100))),
+    })
+    reads = []
+
+    def recording_apply_map(f, p):
+        image, seen = apply_map(f, p), []
+        reads.append(seen)
+        return CompletionPoint(image.carrier, lambda n: seen.append(n) or image.approx(n))
+
+    with mock.patch.object(function_locale, "apply_map", recording_apply_map):
+        rep = check_axiom(inst, identity_map(LINE), 8)
+    assert rep == check_axiom(inst, identity_map(LINE), 8)
+    assert rep["result"] == "Pass"
+    assert rep["witness"] == bo((0, Fraction(1, 100))).to_json()
+    # two premise images, then tau's center: stage 8, one doubling, stage 16
+    assert reads[2] == [8, 16]
+
+
 def test_premise_not_established_is_inconclusive():
     shifted = line_map(1, 10)
     rep = check_axiom(
@@ -260,3 +304,37 @@ def test_round_trip_needs_a_grid_for_the_source():
     )
     with pytest.raises(ValueError, match="gaussian"):
         round_trip(re_part, bo((0, 8)), [], 16)
+
+
+def test_benchmark_mm_checks_work_is_pinned(monkeypatch):
+    """The 180 MM checks of the benchmark's ``locale`` seed-1 period, run
+    and checked as the benchmark does, on a line carrier that counts its
+    distances and membership tests.  A constant image is the carrier map's
+    own point, not rebuilt (rebuilding read 1928 membership tests), and
+    MM1 probes u_small's centers without first measuring them against u's
+    balls (that read 656 distances)."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # bench/ stays as is
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    import workloads
+
+    wl = workloads.WORKLOADS["locale"]
+    ctx = wl.setup(1)
+    line, counts = ctx["line"], Counter()
+
+    def dist(x, y):
+        counts["dist"] += 1
+        return line.dist(x, y)
+
+    def contains(x):
+        counts["contains"] += 1
+        return line.contains(x)
+
+    ctx["line"] = dataclasses.replace(line, dist=dist, contains=contains)
+    results = Counter()
+    for spec in wl.period(1, 0):
+        if spec[0] == "mm":
+            answer = wl.run(ctx, spec)
+            assert wl.check(spec, answer)
+            results[answer["result"]] += 1
+    assert results == {"Inconclusive": 91, "Pass": 89}
+    assert counts == {"dist": 648, "contains": 1556}

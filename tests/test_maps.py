@@ -3,10 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from formalballs.carriers import rational_line
+from formalballs.carriers import finite_space, rational_line
 from formalballs.cli import parse_map_expr
 from formalballs.completion import (
     CertificateError,
+    CompletionPoint,
     member_query,
     point_distance,
     point_of_carrier,
@@ -74,6 +75,21 @@ def test_modulus_wrapper_monotone():
 def test_apply_map_half():
     img = apply_map(half_map(), lpoint(1))
     assert abs(img.approx(10) - Fraction(1, 2)) <= half_pow(10)
+
+
+def test_apply_map_returns_the_carrier_maps_constant_image():
+    image = point_of_carrier(LINE, Fraction(1, 2))
+    f = MapRep(LINE, LINE, lambda _x: image, lambda eps: eps)
+    assert apply_map(f, lpoint(1)) is image
+
+
+def test_apply_map_rejects_an_image_over_another_carrier():
+    # finite point 1 is no line point, constant or not
+    two = finite_space(2, [[0, 1], [1, 0]])
+    for image in (point_of_carrier(two, 1), CompletionPoint(two, lambda _n: 1)):
+        f = MapRep(LINE, LINE, lambda _x, image=image: image, lambda eps: eps)
+        with pytest.raises(ValueError, match="target"):
+            apply_map(f, lpoint(0))
 
 
 def test_identity_map_equivalence():
