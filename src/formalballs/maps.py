@@ -9,7 +9,6 @@ conditional on the certificate.
 from __future__ import annotations
 
 import random
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
@@ -39,56 +38,54 @@ _EXT_CHECK_EFFORT = 64
 
 
 class ModulusFn:
-    """Monotone non-decreasing wrapper around a raw modulus function.
+    """A raw modulus read through two pure views, neither of which
+    depends on which queries ran before.
 
-    Clamps each answer against answers already given for larger eps, so
-    the exposed function can never decrease as eps grows.  The cache is
-    non-decreasing in eps after every call, so a miss reads its bound off
-    the next larger key and clamps smaller keys only until one is already
-    at or below the new answer.
-
-    ``apply_map`` reads stage depths through ``_stage``, which memoises
-    n -> ``_stage_for(self, n)``.  Each memoised depth is a function of the
-    cached ``self(2^-(n+1))`` alone, and the memo is cleared whenever a call
-    clamps an existing cache entry, so a depth is reused exactly as long as
-    the cached value it came from stands.
+    Points closer than raw(eps) have images closer than eps, for each eps
+    on its own.  ``_read(eps)`` is raw(eps), checked positive and memoised;
+    the stage depths (``_stage``, memoised ``_stage_for(self._read, n)``)
+    and the moduli of ``compose_maps`` and ``pair_maps`` read it.  Calling
+    the object gives the monotone envelope: the min of raw(2^-j) over
+    j <= k, with 2^-k the largest dyadic <= eps (k = 0 when eps >= 1).  It
+    is at most raw(2^-k), which certifies every eps >= 2^-k, and it never
+    decreases as eps grows; ``_env`` keeps its running minima.
     """
 
-    __slots__ = ("_raw", "_cache", "_keys", "_depths")
+    __slots__ = ("_raw", "_reads", "_env", "_depths")
 
     def __init__(self, raw: Callable[[Fraction], Fraction]):
         self._raw = raw
-        self._cache: dict[Fraction, Fraction] = {}
-        self._keys: list[Fraction] = []  # the cache keys, ascending
+        self._reads: dict[Fraction, Fraction] = {}  # eps -> raw(eps)
+        self._env: list[Fraction] = []  # j -> min of raw(2^-i) over i <= j
         self._depths: dict[int, int] = {}  # n -> stage depth, see _stage
 
     def __call__(self, eps: Fraction) -> Fraction:
         eps = parse_rational(eps)
         if eps <= 0:
             raise ValueError("modulus argument must be positive")
-        cache = self._cache
-        if eps in cache:
-            return cache[eps]
-        eta = parse_rational(self._raw(eps))
-        if eta <= 0:
-            raise ValueError("modulus must return a positive rational")
-        keys = self._keys
-        i = bisect_left(keys, eps)
-        if i < len(keys):
-            eta = min(eta, cache[keys[i]])
-        for j in range(i - 1, -1, -1):
-            if cache[keys[j]] <= eta:
-                break
-            cache[keys[j]] = eta
-            self._depths.clear()
-        keys.insert(i, eps)
-        cache[eps] = eta
-        return eta
+        k = stage_below(eps)  # k + 1 when eps is exactly 2^-k
+        q = eps.denominator
+        if eps.numerator == 1 and not q & (q - 1):
+            k -= 1
+        env = self._env
+        while len(env) <= k:
+            eta = self._read(half_pow(len(env)))
+            env.append(min(env[-1], eta) if env else eta)
+        return env[k]
+
+    def _read(self, eps: Fraction) -> Fraction:
+        reads = self._reads
+        if eps not in reads:
+            eta = parse_rational(self._raw(eps))
+            if eta <= 0:
+                raise ValueError("modulus must return a positive rational")
+            reads[eps] = eta
+        return reads[eps]
 
     def _stage(self, n: int) -> int:
         depths = self._depths
         if n not in depths:
-            depths[n] = _stage_for(self, n)
+            depths[n] = _stage_for(self._read, n)
         return depths[n]
 
 
@@ -115,6 +112,14 @@ def _stage_for(modulus: Callable[[Fraction], Fraction], n: int) -> int:
     return max(stage_below(modulus(half_pow(n + 1))), n) + 1
 
 
+def _image(f: MapRep, x) -> CompletionPoint:
+    """The carrier map at x; a result over another kind than the target raises."""
+    q = f.carrier_map(x)
+    if q.carrier.kind != f.target.kind:
+        raise ValueError("carrier map result is not over the map's target")
+    return q
+
+
 def apply_map(f: MapRep, p: CompletionPoint) -> CompletionPoint:
     """Push a completion point through the map.
 
@@ -124,20 +129,18 @@ def apply_map(f: MapRep, p: CompletionPoint) -> CompletionPoint:
     A constant p has the element x at every stage, whatever the depth, and
     the carrier map is a function of x, so it is called once, here: a
     constant result q is the image itself, any other the stages
-    q.approx(n+1).  A result over another kind than the target raises.
+    q.approx(n+1).  Any result over another kind than the target raises.
     """
     if f.source.kind != p.carrier.kind:
         raise ValueError("point is not over the map's source carrier")
     if p._value is not None:
-        q = f.carrier_map(p._value)
-        if q.carrier.kind != f.target.kind:
-            raise ValueError("carrier map result is not over the map's target")
+        q = _image(f, p._value)
         if q._value is not None:
             return q
         return CompletionPoint(f.target, lambda n: q.approx(n + 1))
 
     def approx(n):
-        return f.carrier_map(p.approx(f.modulus._stage(n))).approx(n + 1)
+        return _image(f, p.approx(f.modulus._stage(n))).approx(n + 1)
 
     return CompletionPoint(f.target, approx)
 
@@ -154,7 +157,7 @@ def identity_map(carrier: MetricCarrier) -> MapRep:
 
 
 def compose_maps(g: MapRep, f: MapRep) -> MapRep:
-    """g after f; modulus composes, class degrades to the weaker one."""
+    """g after f; modulus raw_f(raw_g(eps)), class the weaker one."""
     if f.target.kind != g.source.kind:
         raise ValueError("carrier mismatch in composition")
     cls = f.cls if _CLASS_ORDER[f.cls] <= _CLASS_ORDER[g.cls] else g.cls
@@ -166,21 +169,21 @@ def compose_maps(g: MapRep, f: MapRep) -> MapRep:
         source=f.source,
         target=g.target,
         carrier_map=carrier_map,
-        modulus=lambda eps: f.modulus(g.modulus(eps)),
+        modulus=lambda eps: f.modulus._read(g.modulus._read(eps)),
         cls=cls,
         label=f"{g.label}.{f.label}",
     )
 
 
 def pair_maps(f: MapRep, g: MapRep) -> MapRep:
-    """x -> (f x, g x) into the product of the two targets."""
+    """x -> (f x, g x) into the product; modulus min(raw_f, raw_g)."""
     if f.source.kind != g.source.kind:
         raise ValueError("pair components need the same source carrier")
     return MapRep(
         source=f.source,
         target=product_space(f.target, g.target),
         carrier_map=lambda x: pair_point(f.carrier_map(x), g.carrier_map(x)),
-        modulus=lambda eps: min(f.modulus(eps), g.modulus(eps)),
+        modulus=lambda eps: min(f.modulus._read(eps), g.modulus._read(eps)),
         cls=METRIC,
         label=f"pair({f.label},{g.label})",
     )
@@ -242,7 +245,9 @@ def extend_by_density(
     The result is a UNIFORM map labelled "ext".  The modulus contract is
     spot-checked on sampled source pairs (six drawn from ``rng`` unless
     ``sample_pairs`` is given) at eps 1, 1/2 and 1/4, reading image
-    distances at effort 64; a violation raises CertificateError with the witness pair.
+    distances at effort 64; a violation raises CertificateError with the
+    witness pair.  The three check moduli are read once, through the
+    public envelope, before the pairs (even when ``sample_pairs`` is empty).
     """
     rep = MapRep(
         source=source,
@@ -255,10 +260,10 @@ def extend_by_density(
     if sample_pairs is None:
         rng = rng or random.Random(0)
         sample_pairs = [(source.sample(rng), source.sample(rng)) for _ in range(6)]
+    checks = [(eps, rep.modulus(eps)) for eps in _EXT_CHECK_EPS]
     for a, b in sample_pairs:
         d = source.dist(a, b)
-        for eps in _EXT_CHECK_EPS:
-            eta = rep.modulus(eps)
+        for eps, eta in checks:
             if d < eta:
                 d_img = point_distance(rep.carrier_map(a), rep.carrier_map(b))
                 if not d_img.less_than(eps, _EXT_CHECK_EFFORT).is_yes:

@@ -35,20 +35,17 @@ class UpperReal:
 
     Each raw bound is computed at most once and kept in a per-instance
     dict; ``_best`` holds the running minima built so far.  ``less_than``
-    answers from ``_best`` when the entry exists and otherwise searches the
-    raw bounds from its effort downward, stopping at the first one below
-    the threshold, so a Yes costs as few stages as the answer allows.
-
-    ``value`` is the bound at every effort when the caller knows one
-    (``of_rational``), and None otherwise.  Every running minimum is then
-    that value, so ``bound`` and ``less_than`` answer from ``_value``
-    without evaluating a raw bound.
+    searches the raw bounds from its effort down to the built prefix,
+    stopping at the first one below the threshold, so a Yes costs as few
+    stages as the answer allows; otherwise it compares ``bound(effort)``.
 
     ``decreasing=True`` promises that the raw bounds never rise with
     effort, so the running minimum at effort e is the raw bound at e, and
-    ``bound`` and ``less_than`` read that one raw bound.  Only
-    ``completion.point_distance`` sets it, for two constant points at
-    distance d, where the raw bound d + 2^(1-n) falls strictly.
+    ``bound`` reads that one raw bound and ``less_than`` skips its search.
+    ``completion.point_distance`` sets it for two constant points at
+    distance d, where the raw bound d + 2^(1-n) falls strictly, and
+    ``of_rational`` sets it together with ``value``: the bound at every
+    effort, which ``bound`` returns without evaluating a raw bound.
     """
 
     __slots__ = ("_fn", "_raw", "_best", "_value", "_decreasing")
@@ -90,22 +87,11 @@ class UpperReal:
         """
         if q <= 0:
             raise ValueError("threshold must be a positive rational")
-        if effort < 0:
-            raise ValueError("effort must be >= 0")
-        if self._value is not None:
-            return Query.YES if self._value < q else Query.NOT_YET
-        if self._decreasing:
-            return Query.YES if self._raw_bound(effort) < q else Query.NOT_YET
-        built = len(self._best)
-        if effort < built:
-            return Query.YES if self._best[effort] < q else Query.NOT_YET
-        for k in range(effort, built - 1, -1):
-            if self._raw_bound(k) < q:
-                return Query.YES
-        if built and self._best[built - 1] < q:
-            return Query.YES
-        self.bound(effort)  # every raw bound up to effort is known: keep the minima
-        return Query.NOT_YET
+        if not self._decreasing:
+            for k in range(effort, len(self._best) - 1, -1):
+                if self._raw_bound(k) < q:
+                    return Query.YES
+        return Query.YES if self.bound(effort) < q else Query.NOT_YET
 
     # -- constructors ------------------------------------------------------
 
@@ -113,7 +99,7 @@ class UpperReal:
     def of_rational(q: Fraction) -> "UpperReal":
         if q < 0:
             raise ValueError("upper real of a negative rational")
-        return UpperReal(lambda _e: q, q)
+        return UpperReal(lambda _e: q, q, decreasing=True)
 
     def __repr__(self):
         return f"UpperReal(bound0={self.bound(0)!r})"

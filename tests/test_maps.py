@@ -1,5 +1,8 @@
 import random
+import sys
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +29,8 @@ from formalballs.maps import (
     line_map,
 )
 from formalballs.numbers import half_pow
+
+ROOT = Path(__file__).resolve().parents[1]
 
 LINE = rational_line()
 
@@ -90,6 +95,15 @@ def test_apply_map_rejects_an_image_over_another_carrier():
         f = MapRep(LINE, LINE, lambda _x, image=image: image, lambda eps: eps)
         with pytest.raises(ValueError, match="target"):
             apply_map(f, lpoint(0))
+
+
+def test_apply_map_rejects_an_image_over_another_carrier_for_a_moving_point():
+    # each stage of a moving source point reads the carrier map anew
+    two = finite_space(2, [[0, 1], [1, 0]])
+    f = MapRep(LINE, LINE, lambda _x: point_of_carrier(two, 1), lambda eps: eps)
+    image = apply_map(f, CompletionPoint(LINE, half_pow))
+    with pytest.raises(ValueError, match="target"):
+        image.approx(3)
 
 
 def test_identity_map_equivalence():
@@ -204,3 +218,39 @@ def test_map_tokens_keep_label_class_and_modulus(token, label, cls, modulus):
 def test_line_map_rejects_steep_slope():
     with pytest.raises(ValueError):
         line_map(2, 0)
+
+
+def test_benchmark_ext_modulus_work_is_pinned(monkeypatch):
+    """The 20 ``ext`` probes of the benchmark's ``locale`` seed-1 period,
+    run and checked as the benchmark does, counting raw modulus reads and
+    public modulus calls.  Stage depths read the raw modulus (read through
+    the public envelope, they made 1342 raw reads), and each extension
+    reads its three check moduli once, not once per sampled pair (the
+    clamping wrapper this replaced made 759 public calls)."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # bench/ stays as is
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    import workloads
+
+    counts = Counter()
+    init, call = ModulusFn.__init__, ModulusFn.__call__
+
+    def counting_init(self, raw):
+        def counted(eps):
+            counts["raw"] += 1
+            return raw(eps)
+
+        init(self, counted)
+
+    def counting_call(self, eps):
+        counts["public"] += 1
+        return call(self, eps)
+
+    monkeypatch.setattr(ModulusFn, "__init__", counting_init)
+    monkeypatch.setattr(ModulusFn, "__call__", counting_call)
+    wl = workloads.WORKLOADS["locale"]
+    ctx = wl.setup(1)
+    probes = [spec for spec in wl.period(1, 0) if spec[0] == "ext"]
+    for spec in probes:
+        assert wl.check(spec, wl.run(ctx, spec))
+    assert len(probes) == 20
+    assert counts == {"raw": 159, "public": 120}

@@ -1,21 +1,31 @@
-"""Stage-depth helpers against the linear searches they replace.
+"""Stage-depth helpers and moduli against the plain definitions.
 
 ``stage_below`` and ``maps._stage_for`` read stage depths off bit lengths,
-and ``ModulusFn`` bisects its ascending key list.  Each is compared here
-with the plain loop that defines it.  The stage-depth memo ``apply_map``
-reads through ``ModulusFn._stage`` is compared with ``_stage_for`` itself.
+and a ``ModulusFn`` call finds its dyadic floor 2^-k the same way.  Each is
+compared here with the plain loop that defines it: the call with the min
+of raw(2^-j) over j <= k.  The stage-depth memo ``apply_map`` reads through
+``ModulusFn._stage`` is compared with ``_stage_for`` on the raw modulus.
+No answer may depend on the queries that ran before it, for plain,
+composed and paired maps, with monotone raw moduli and others.
 """
 
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from formalballs.carriers import rational_line
 from formalballs.completion import CompletionPoint, point_of_carrier
-from formalballs.maps import MapRep, ModulusFn, _stage_for, apply_map
-from formalballs.numbers import half_pow, parse_rational, stage_below
+from formalballs.maps import (
+    MapRep,
+    ModulusFn,
+    _stage_for,
+    apply_map,
+    compose_maps,
+    pair_maps,
+)
+from formalballs.numbers import half_pow, stage_below
 
 
 def linear_stage_below(eps):
@@ -32,25 +42,17 @@ def linear_stage_for(eta, n):
     return max(m, n + 1)
 
 
-class LinearModulusFn:
-    """The clamping wrapper as a full scan of its cache on every miss."""
+def linear_dyadic_floor(eps):
+    """The largest dyadic 2^-k <= eps, as k >= 0 (k = 0 when eps >= 1)."""
+    k = 0
+    while half_pow(k) > eps:
+        k += 1
+    return k
 
-    def __init__(self, raw):
-        self._raw = raw
-        self._cache = {}
 
-    def __call__(self, eps):
-        eps = parse_rational(eps)
-        if eps in self._cache:
-            return self._cache[eps]
-        eta = parse_rational(self._raw(eps))
-        for e2, v2 in self._cache.items():
-            if e2 >= eps:
-                eta = min(eta, v2)
-            else:
-                self._cache[e2] = min(v2, eta)
-        self._cache[eps] = eta
-        return eta
+def reference_envelope(raw, eps):
+    """The min of raw(2^-j) over j <= k, with 2^-k the dyadic floor of eps."""
+    return min(raw(half_pow(j)) for j in range(linear_dyadic_floor(eps) + 1))
 
 
 def near_power_ratio(a, b, d, up):
@@ -90,8 +92,12 @@ def _step(e):
     return e if e < Fraction(1, 4) else e / 100
 
 
-def _scrambled(e):
-    return Fraction(1 + (7 * e.numerator + 13 * e.denominator) % 17, 64)
+def _hashed(a, b, c, d):
+    """A raw modulus with no order in eps: a hash onto the multiples of 1/d."""
+    return lambda e: Fraction(1 + (a * e.numerator + b * e.denominator) % c, d)
+
+
+_scrambled = _hashed(7, 13, 17, 64)
 
 
 RAW_MODULI = {
@@ -112,23 +118,24 @@ query_eps = st.one_of(
 @given(st.sampled_from(sorted(RAW_MODULI)), st.lists(query_eps, max_size=30))
 def test_modulus_fn_matches_linear_scan(name, queries):
     raw = RAW_MODULI[name]
-    fast, slow = ModulusFn(raw), LinearModulusFn(raw)
+    m = ModulusFn(raw)
     seen = []
     for eps in queries:
-        assert fast(eps) == slow(eps)
+        want = reference_envelope(raw, eps)
+        assert ModulusFn(raw)(eps) == want
+        assert m(eps) == want
         seen.append(eps)
         for earlier in seen:
-            assert fast(earlier) == slow(earlier)
-        assert fast._cache == slow._cache
-        assert fast._keys == sorted(slow._cache)
+            assert m(earlier) == reference_envelope(raw, earlier)
 
 
-def test_modulus_fn_keeps_history_dependence():
-    """A later, larger query still clamps m(1/8) for the step modulus."""
+def test_modulus_fn_is_history_free():
+    """m(1/8) is min(raw(1), raw(1/2), raw(1/4), raw(1/8)) for the step
+    modulus, before and after the larger query m(1/2)."""
     m = ModulusFn(_step)
-    assert m(Fraction(1, 8)) == Fraction(1, 8)
+    assert m(Fraction(1, 8)) == Fraction(1, 400)
     assert m(Fraction(1, 2)) == Fraction(1, 200)
-    assert m(Fraction(1, 8)) == Fraction(1, 200)
+    assert m(Fraction(1, 8)) == Fraction(1, 400)
 
 
 LINE = rational_line()
@@ -151,12 +158,83 @@ query_ops = st.lists(
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from((_step, _scrambled)), query_ops)
 def test_memoised_stage_depth_matches_pure_stage_for(raw, ops):
-    memo, twin = ModulusFn(raw), ModulusFn(raw)
+    memo = ModulusFn(raw)
     f = _depth_probe(memo)
     source = CompletionPoint(LINE, lambda m: Fraction(m))
     for kind, arg in ops:
-        if kind == "eps":  # a direct query may clamp earlier cache entries
-            assert memo(arg) == twin(arg)
+        if kind == "eps":  # a public call reads the envelope, not the depths
+            assert memo(arg) == reference_envelope(raw, arg)
         else:
-            assert apply_map(f, source).approx(arg) == _stage_for(twin, arg)
-    assert memo._cache == twin._cache
+            assert apply_map(f, source).approx(arg) == _stage_for(raw, arg)
+
+
+def _scaled(s, cap):
+    """A monotone raw modulus: min(eps / s, cap)."""
+    return lambda e: min(e / s, cap)
+
+
+raw_moduli = st.one_of(
+    st.sampled_from(sorted(RAW_MODULI)).map(RAW_MODULI.get),
+    st.builds(_scaled, st.integers(1, 8), st.builds(Fraction, st.integers(1, 8), st.integers(1, 8))),
+    st.builds(_hashed, st.integers(1, 50), st.integers(1, 50), st.integers(2, 20),
+              st.sampled_from((8, 64, 1024))),
+)
+
+
+def _shape(shape, r1, r2):
+    """The maps of a shape on raw moduli r1 and r2, the built map first and
+    then the maps it reads, each with the raw modulus it certifies."""
+    if shape == "plain":
+        return [(_depth_probe(r1), r1)]
+    g, f = _depth_probe(r1), _depth_probe(r2)
+    if shape == "composed":
+        outer = (compose_maps(g, f), lambda e: r2(r1(e)))
+    else:
+        outer = (pair_maps(g, f), lambda e: min(r1(e), r2(e)))
+    return [outer, (g, r1), (f, r2)]
+
+
+order_ops = st.lists(
+    st.tuples(
+        st.integers(0, 2),  # which map of the shape, modulo their number
+        st.one_of(
+            st.tuples(st.just("eps"), query_eps),
+            st.tuples(st.just("stage"), st.integers(0, 14)),
+            st.tuples(st.just("apply"), st.integers(0, 14)),
+        ),
+    ),
+    max_size=30,
+)
+
+
+def _answer(f, op, arg):
+    if op == "eps":
+        return f.modulus(arg)
+    if op == "stage":
+        return f.modulus._stage(arg)
+    moving = CompletionPoint(LINE, lambda n: Fraction(1, 3) + half_pow(n + 2))
+    return apply_map(f, moving).approx(arg)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(("plain", "composed", "paired")), raw_moduli, raw_moduli, order_ops)
+# the composite's m(1) reads f at 1 after its stage 2 read f at 1/8, and
+# then f's own stage 2 reads f at 1/8 again
+@example("composed", RAW_MODULI["identity"], _scrambled,
+         [(0, ("stage", 2)), (0, ("eps", Fraction(1))), (2, ("stage", 2))])
+def test_answers_do_not_depend_on_query_order(shape, r1, r2, ops):
+    """Queries on a map and on the maps it reads, interleaved: each answer
+    equals the same query on a fresh rebuild, and each public modulus
+    never decreases as eps grows and stays <= raw(2^-k)."""
+    maps = _shape(shape, r1, r2)
+    public = []
+    for which, (op, arg) in ops:
+        i = which % len(maps)
+        f, raw = maps[i]
+        got = _answer(f, op, arg)
+        assert got == _answer(_shape(shape, r1, r2)[i][0], op, arg)
+        if op == "eps":
+            assert got <= raw(half_pow(linear_dyadic_floor(arg)))
+            public.append((i, arg, got))
+    for i, eps, eta in public:
+        assert all(eta <= eta2 for j, eps2, eta2 in public if j == i and eps <= eps2)
