@@ -259,7 +259,7 @@ def _open_from_json(carrier, balls) -> BallOpen:
 
 
 # Largest space sizes accepted: ``spec`` costs grow as n^3 (n = 32 takes about
-# 0.2 s), ``admissible`` prints one value per point (n = 10000 takes about 0.05 s).
+# 0.06 s), ``admissible`` prints one value per point (n = 10000 takes about 0.05 s).
 ADMISSIBLE_MAX_N = 10_000
 SPEC_MAX_N = 32
 

@@ -157,14 +157,21 @@ class AlgebraElement:
         )
 
 
+def _coordinates(a: AlgebraElement, b: AlgebraElement):
+    """The coordinate pairs of a and b; ``ValueError`` on unequal lengths."""
+    if len(a.values) != len(b.values):
+        raise ValueError(
+            f"elements of lengths {len(a.values)} and {len(b.values)} do not combine"
+        )
+    return zip(a.values, b.values)
+
+
 def alg_add(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-    return AlgebraElement(tuple(add_c(x, y) for x, y in zip(a.values, b.values)))
+    return AlgebraElement(tuple(add_c(x, y) for x, y in _coordinates(a, b)))
 
 
 def alg_mul(a: AlgebraElement, b: AlgebraElement, bound: int) -> AlgebraElement:
-    return AlgebraElement(
-        tuple(mul_c(x, y, bound) for x, y in zip(a.values, b.values))
-    )
+    return AlgebraElement(tuple(mul_c(x, y, bound) for x, y in _coordinates(a, b)))
 
 
 def alg_star(a: AlgebraElement) -> AlgebraElement:
@@ -234,7 +241,10 @@ class Character:
         On constant values, the only kind ``spec`` builds, ``dot_c`` folds
         the sum in integers: the loop of ``mul_c``/``add_c`` it replaces
         would fold every step to the same exact rational, so the point is
-        equal and no stage is read.
+        equal and no stage is read.  With ``bound=None``, the only bound
+        ``spec`` passes, each term's default bound exceeds its coordinates
+        by more than 1, so the fold runs no certification that could fail.
+        An element of another length raises ``ValueError``.
         """
         return dot_c(self.values, a.values, bound)
 
@@ -246,19 +256,35 @@ def spectrum_of_cn(n: int):
     return [Character(idempotent(n, i).values, label=f"eval@{i}") for i in range(n)]
 
 
-def _within(a, b, k: int, err: Fraction) -> bool:
-    """|s - t| + err < 2^-k for each coordinate pair of the stages a, b."""
-    return all(abs(s - t) + err < half_pow(k) for s, t in zip(a, b))
+def _within(a, b, k: int, j: int) -> bool:
+    """|s - t| + 2^-(k+j) < 2^-k for each coordinate pair of the stages a, b.
+
+    With s = p/q and t = r/d, this is decided in integers as
+    |p d - r q| 2^(k+j) + q d < q d 2^j: the rule times the positive
+    q d 2^(k+j).  For k + j < 0 the rule is scaled by q d instead, so the
+    shifts stay non-negative: |p d - r q| + q d 2^-(k+j) < q d 2^-k.
+    """
+    e = k + j
+    for s, t in zip(a, b):
+        q, d = s.denominator, t.denominator
+        x = abs(s.numerator * d - t.numerator * q)
+        qd = q * d
+        if e >= 0:
+            if (x << e) + qd >= qd << j:
+                return False
+        elif x + (qd << -e) >= qd << -k:
+            return False
+    return True
 
 
 def _close_to(z: ComplexPoint, target: Fraction, k: int) -> bool:
     """z within 2^-k of an exact real target; the slack covers one stage error."""
-    return _within(z.approx(k + 3), (target, 0), k, half_pow(k + 2))
+    return _within(z.approx(k + 3), (target, 0), k, 2)
 
 
 def _is_query_equal(x: ComplexPoint, y: ComplexPoint, k: int) -> bool:
     """x within 2^-k of y; the wider slack covers both stage errors."""
-    return _within(x.approx(k + 3), y.approx(k + 3), k, half_pow(k + 1))
+    return _within(x.approx(k + 3), y.approx(k + 3), k, 1)
 
 
 def _check_character(chi: Character, elements, k: int) -> dict:

@@ -17,12 +17,17 @@ reads that slot as a plain attribute, not through a property, because
 every operator of every expression reads it; it never evaluates a stage.
 
 A complex dot product of constant points (``dot_c``) is folded as a whole,
-in integers: each term is bounded and certified by the same integer rule
-as a constant factor of ``mul_r``, the products are summed as unnormalised
-numerator/denominator pairs, and the sum is normalised into a ``Fraction``
-once.  The folded loop of ``mul_c``/``add_c`` would reach the same exact
-rational one normalised step at a time, and equal rationals are equal
-``Fraction``s, so the answer and every error are unchanged.
+in integers: the products are summed as unnormalised numerator/denominator
+pairs, and the sum is normalised into a ``Fraction`` once.  The folded loop
+of ``mul_c``/``add_c`` would reach the same exact rational one normalised
+step at a time, and equal rationals are equal ``Fraction``s, so the answer
+and every error are unchanged.  A product of two constant complex points
+(``mul_c``) is the same fold over one term.  With an explicit bound, each
+term is bounded and certified by the same integer rule as a constant factor
+of ``mul_r``.  Under the default bound the certification cannot fail, so it
+is not run: the default bound of a term is b = max(1, floor|c|) + 2 over
+its four coordinates c, so each has |c| < floor|c| + 1 <= b - 1, and
+|c| + 2^-16 <= b holds.
 
 Every stage is a ``Fraction`` (or an int), but the hot readouts compute on
 its numerator and denominator: the bound checks of ``_certify_bound`` and
@@ -218,7 +223,21 @@ def conj_c(a: ComplexPoint) -> ComplexPoint:
 
 
 def mul_c(a: ComplexPoint, b: ComplexPoint, bound: int) -> ComplexPoint:
-    """(re im) product with all four coordinate factors bounded by ``bound``."""
+    """(re im) product with all four coordinate factors bounded by ``bound``.
+
+    On four constant coordinates the product is folded as a one-term
+    ``_dot_values`` (see the module docstring): the value of the folded
+    ``mul_r``/``sub_r``/``add_r`` steps, with their errors in their order,
+    the bound check first, then "could not certify |value| <= bound".  Int
+    coordinates give ints, as those steps do.
+    """
+    xr, xi = a.re.underlying._value, a.im.underlying._value
+    yr, yi = b.re.underlying._value, b.im.underlying._value
+    if xr is not None and xi is not None and yr is not None and yi is not None:
+        re, im = _dot_values(((xr, xi, yr, yi),), bound)
+        if not any(isinstance(c, Fraction) for c in (xr, xi, yr, yi)):
+            re, im = re.numerator, im.numerator
+        return ComplexPoint(_folded(re), _folded(im))
     re = sub_r(mul_r(a.re, b.re, bound), mul_r(a.im, b.im, bound))
     im = add_r(mul_r(a.re, b.im, bound), mul_r(a.im, b.re, bound))
     return ComplexPoint(re, im)
@@ -243,24 +262,25 @@ def _add_pair(n1: int, d1: int, n2: int, d2: int):
 def _dot_values(terms, bound):
     """Exact (re, im) of the sum of x * y over constant terms (xr, xi, yr, yi).
 
-    Each term is bounded and certified as ``mul_c`` would: the bound is
-    ``bound``, or floor(max(1, |coordinates|)) + 2, which is what
-    ``coord_bound`` reads off the constant stages.  The products are summed
-    as unnormalised integer pairs and normalised once, at the end.
+    With an int ``bound``, each term is bounded and certified as ``mul_c``
+    would: ``ValueError`` if ``bound < 1``, then ``BoundViolation`` unless
+    every coordinate passes ``_fits``.  With ``bound=None`` each term's
+    bound is the one ``coord_bound`` reads off its constant stages, under
+    which ``_fits`` cannot fail (the lemma in the module docstring), so
+    nothing is checked.  The products are summed as unnormalised integer
+    pairs and normalised once, at the end.
     """
     rn = imn = 0
     rd = imd = 1
     for xr, xi, yr, yi in terms:
         an, ad, bn, bd = xr.numerator, xr.denominator, xi.numerator, xi.denominator
         cn, cd, dn, dd = yr.numerator, yr.denominator, yi.numerator, yi.denominator
-        b = bound
-        if b is None:
-            b = max(1, abs(an) // ad, abs(bn) // bd, abs(cn) // cd, abs(dn) // dd) + 2
-        elif b < 1:
-            raise ValueError("multiplication bound must be a positive integer")
-        if not (_fits(an, ad, b) and _fits(cn, cd, b)
-                and _fits(bn, bd, b) and _fits(dn, dd, b)):
-            raise BoundViolation(f"could not certify |value| <= {b}")
+        if bound is not None:
+            if bound < 1:
+                raise ValueError("multiplication bound must be a positive integer")
+            if not (_fits(an, ad, bound) and _fits(cn, cd, bound)
+                    and _fits(bn, bd, bound) and _fits(dn, dd, bound)):
+                raise BoundViolation(f"could not certify |value| <= {bound}")
         # (a + bi)(c + di) = (ac - bd) + (ad + bc)i; zero products add nothing
         if an and cn:
             rn, rd = _add_pair(rn, rd, an * cn, ad * cd)
@@ -282,8 +302,13 @@ def dot_c(xs, ys, bound: int = None) -> ComplexPoint:
     the sum is folded in integers instead (see the module docstring) and
     returned as one constant point.  The errors are the loop's: the bound
     check comes before any certification, and a certification failure
-    raises the message ``mul_r`` would, naming the term's bound.
+    raises the message ``mul_r`` would, naming the term's bound.  Under the
+    default bound the fold certifies nothing, because no certification of
+    a constant term can fail there.  Sequences of unequal lengths raise
+    ``ValueError`` before any stage is read.
     """
+    if len(xs) != len(ys):
+        raise ValueError(f"dot product of sequences of lengths {len(xs)} and {len(ys)}")
     terms = []
     for x, y in zip(xs, ys):
         xr, xi = x.re.underlying._value, x.im.underlying._value

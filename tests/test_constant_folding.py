@@ -134,6 +134,7 @@ def test_mul_r_folds_and_raises_as_the_stage_function(case, ns):
 
 @settings(max_examples=80, deadline=None)
 @given(factors_and_bound(), factors_and_bound(), stage_lists)
+@example((2, -3, 9), (4, 5, 9), [0, 3])  # int coordinates keep int stages
 def test_mul_c_folds_and_raises_as_the_stage_function(z, w, ns):
     (zr, zi, bound), (wr, wi, _) = z, w
 

@@ -8,6 +8,8 @@ from formalballs.gelfand import (
     Character,
     FiniteDiscreteSpace,
     admissibility_theorem_check,
+    alg_add,
+    alg_mul,
     cstar_identity_check,
     duality_round_trip,
     has_point,
@@ -18,8 +20,16 @@ from formalballs.gelfand import (
     verify_spectrum,
 )
 from formalballs import gelfand
+from formalballs.completion import CompletionPoint
 from formalballs.lawsuite import enumerate_basic_opens
-from formalballs.reals import complex_of_rational
+from formalballs.reals import (
+    LINE,
+    ComplexPoint,
+    RealPoint,
+    complex_of_rational,
+    dot_c,
+    real_of_rational,
+)
 
 
 X2 = FiniteDiscreteSpace(2)
@@ -114,18 +124,97 @@ def test_bad_character_fails_multiplicativity():
 
 
 def test_verify_spectrum_reports_as_one_character_calls():
-    samples = [
+    samples3 = [
         (
             AlgebraElement.of_rationals([(1, 0), (2, 1), (Fraction(-1, 3), 0)]),
             AlgebraElement.of_rationals([(0, 1), (1, 1), (2, -1)]),
         )
     ]
+    samples2 = [
+        (
+            AlgebraElement.of_rationals([(Fraction(1, 2), 0), (3, -1)]),
+            AlgebraElement.of_rationals([(0, 2), (1, Fraction(2, 3))]),
+        )
+    ]
     bad = Character(tuple(complex_of_rational(1) for _ in range(3)), label="sum")
-    chars = spectrum_of_cn(3) + [bad] + spectrum_of_cn(2)
-    want = [verify_character(chi, samples, bound=8, k=16) for chi in chars]
-    assert verify_spectrum(chars, samples, bound=8, k=16) == want
-    assert [r["result"] for r in want] == ["Pass"] * 3 + ["Fail"] + ["Pass"] * 2
-    assert verify_spectrum([], samples, bound=8, k=16) == []
+    cases = [
+        (spectrum_of_cn(3) + [bad], samples3, ["Pass"] * 3 + ["Fail"]),
+        (spectrum_of_cn(2), samples2, ["Pass"] * 2),
+        # characters on spaces of different sizes share one call without samples
+        (spectrum_of_cn(3) + [bad] + spectrum_of_cn(2), [], ["Pass"] * 3 + ["Fail"] + ["Pass"] * 2),
+    ]
+    for chars, samples, results in cases:
+        want = [verify_character(chi, samples, bound=8, k=16) for chi in chars]
+        assert verify_spectrum(chars, samples, bound=8, k=16) == want
+        assert [r["result"] for r in want] == results
+    assert verify_spectrum([], samples3, bound=8, k=16) == []
+
+
+def test_unequal_lengths_raise_before_any_stage_is_read():
+    reads = []
+
+    def logged(q):
+        def stage(n):
+            reads.append(n)
+            return Fraction(q)
+
+        return ComplexPoint(RealPoint(CompletionPoint(LINE, stage)), real_of_rational(0))
+
+    for make in (complex_of_rational, logged):
+        with pytest.raises(ValueError, match="lengths 1 and 2"):
+            dot_c([make(1)], [make(2), make(3)])
+        a = AlgebraElement((make(1), make(2)))
+        b = AlgebraElement((make(3),))
+        with pytest.raises(ValueError, match="lengths 2 and 1"):
+            alg_add(a, b)
+        with pytest.raises(ValueError, match="lengths 2 and 1"):
+            alg_mul(a, b, 8)
+    assert reads == []
+    a, b = (AlgebraElement.of_rationals([(j, 1), (1, 0)]) for j in (1, 2))
+    with pytest.raises(ValueError, match="lengths 3 and 2"):
+        verify_character(spectrum_of_cn(3)[2], [(a, b)], bound=8, k=16)
+
+
+# -- each law of the character check can fail ------------------------------
+
+
+def _failed_laws(report):
+    return [f["law"] for f in report["failures"]]
+
+
+def test_zero_character_fails_unit_and_idempotent_sum():
+    zero = Character((complex_of_rational(0),) * 2, label="zero")
+    laws = _failed_laws(verify_character(zero, [], bound=8, k=16))
+    assert "unit" in laws and "idempotent sum" in laws
+
+
+def test_half_character_fails_dichotomy_and_projection_count():
+    half = Character((complex_of_rational(Fraction(1, 2)),) * 2, label="half")
+    # at k = 16, 1/2 is neither 0 nor 1
+    assert "idempotent dichotomy" in _failed_laws(verify_character(half, [], bound=8, k=16))
+    # at k = 0, 1/2 passes as both, so both idempotents count as sent to 1
+    assert _failed_laws(verify_character(half, [], bound=8, k=0)) == ["projection count"]
+
+
+def test_wrong_sum_fails_additivity(monkeypatch):
+    real_add = gelfand.alg_add
+    monkeypatch.setattr(gelfand, "alg_add", lambda a, b: real_add(real_add(a, b), b))
+    samples = [
+        (
+            AlgebraElement.of_rationals([(1, 0), (2, 1)]),
+            AlgebraElement.of_rationals([(0, 1), (1, 1)]),
+        )
+    ]
+    report = verify_character(spectrum_of_cn(2)[1], samples, bound=8, k=16)
+    assert _failed_laws(report) == ["additivity"]
+
+
+def test_rotated_spectrum_fails_separation_and_round_trip(monkeypatch):
+    real_spectrum = gelfand.spectrum_of_cn
+    monkeypatch.setattr(gelfand, "spectrum_of_cn", lambda n: real_spectrum(n)[1:] + real_spectrum(n)[:1])
+    laws = _failed_laws(duality_round_trip(3, 16))
+    assert "separation by idempotents" in laws and "evaluation round trip" in laws
+    assert "norm preservation" not in laws
 
 
 def test_verify_spectrum_builds_the_elements_once_per_n(monkeypatch):

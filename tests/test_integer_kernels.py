@@ -1,10 +1,12 @@
 """Integer kernels of the reals layer against the Fraction formulas they replace.
 
-``modulus_interval``, ``sqrt_lower``, ``_certify_bound`` and
-the per-stage bound check of ``mul_r`` compute on integer numerators and
-denominators.  Each is compared here with the ``Fraction`` formula it
-replaced, kept below as a reference: equal results by repr (so equal
-values of the same type), or the same error type and message.
+``modulus_interval``, ``sqrt_lower``, ``_certify_bound``, the per-stage
+bound check of ``mul_r`` and the character-law comparison ``_within`` of
+``gelfand`` compute on integer numerators and denominators.  Each is
+compared here with the ``Fraction`` formula it replaced, kept below as a
+reference: equal results by repr (so equal values of the same type), or the
+same error type and message.  The certification that the constant dot
+product no longer runs under its default bound is asserted here instead.
 """
 
 from fractions import Fraction
@@ -15,6 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from formalballs.completion import CompletionPoint, point_of_carrier
+from formalballs.gelfand import _within
 from formalballs.numbers import half_pow, sqrt_lower
 from formalballs.reals import (
     LINE,
@@ -22,6 +25,8 @@ from formalballs.reals import (
     ComplexPoint,
     RealPoint,
     _certify_bound,
+    _fits,
+    coord_bound,
     modulus_interval,
     mul_r,
 )
@@ -70,6 +75,10 @@ def ref_mul_stage(p, q, bound, n):
     if abs(a) > bound or abs(b) > bound:
         raise BoundViolation(f"factor stage {m} escaped the certified bound {bound}")
     return a * b
+
+
+def ref_within(a, b, k, j):
+    return all(abs(s - t) + half_pow(k + j) < half_pow(k) for s, t in zip(a, b))
 
 
 def outcome(fn, *args):
@@ -224,3 +233,72 @@ def test_int_stages_stay_ints():
     assert mul_r(zero, q, 3).approx(10) == 0
     with pytest.raises(BoundViolation, match="^could not certify \\|value\\| <= 3$"):
         mul_r(p, q, 3)
+
+
+# -- the character-law comparison ----------------------------------------------
+
+
+@st.composite
+def within_cases(draw):
+    """Stages a, b and k, j, with some coordinate gaps at the rule's edge.
+
+    The rule is |s - t| + 2^-(k+j) < 2^-k, so its edge is the gap
+    2^-k - 2^-(k+j).  An edge gap is moved by i 2^-(k+j+2) / r for i in
+    -1..1 and an odd r: the rule holds exactly when i < 0.  A stage that
+    is a whole number is sometimes an int, as constant stages may be.
+    """
+    k = draw(st.integers(-4, 40))
+    j = draw(st.sampled_from([1, 2]))
+    a, b = [], []
+    for _ in range(2):
+        t = draw(values)
+        if draw(st.booleans()):
+            s = draw(values)
+        else:
+            i = draw(st.integers(-1, 1))
+            r = draw(st.sampled_from([1, 3, 5, 7]))
+            sign = draw(st.sampled_from([1, -1]))
+            gap = half_pow(k) - half_pow(k + j) + half_pow(k + j + 2) * Fraction(i, r)
+            s = t + sign * gap
+        if s.denominator == 1 and draw(st.booleans()):
+            s = int(s)
+        a.append(s)
+        b.append(t)
+    return tuple(a), tuple(b), k, j
+
+
+@settings(max_examples=400, deadline=None)
+@given(within_cases())
+@example(((Fraction(3, 4), 0), (0, 0), 0, 2))  # on the edge: fails
+@example(((Fraction(1, 2), 0), (0, 0), 0, 2))  # inside
+@example(((12, 0), (0, 0), -4, 1))  # k + j < 0: 12 + 8 < 16 fails
+@example(((7, 0), (0, 0), -4, 1))
+def test_within_matches_the_fraction_formula(case):
+    a, b, k, j = case
+    assert _within(a, b, k, j) == ref_within(a, b, k, j)
+
+
+# -- the certification a constant dot product skips under its default bound ----
+
+near_integers = st.builds(
+    lambda n, e, sign: n + sign * Fraction(1, 2 ** e),
+    st.integers(-60, 60), st.integers(1, 40), st.sampled_from([1, -1]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(values, near_integers), min_size=4, max_size=4))
+@example([Fraction(-5, 2 ** 40) + 1, 0, 0, 0])
+@example([Fraction(2 ** 40 - 1, 2 ** 40), 50, Fraction(-1, 3), 0])
+def test_the_default_bound_certifies_every_coordinate(coords):
+    """``_fits`` holds for each coordinate under ``coord_bound`` of its term.
+
+    This is the check the integer dot product stopped running with
+    ``bound=None``: the bound is max(1, floor|c|) + 2 and |c| < floor|c| + 1.
+    """
+    xr, xi, yr, yi = coords
+    point = lambda re, im: ComplexPoint(
+        RealPoint(point_of_carrier(LINE, re)), RealPoint(point_of_carrier(LINE, im)))
+    bound = coord_bound(point(xr, xi), point(yr, yi))
+    for c in coords:
+        assert _fits(c.numerator, c.denominator, bound)
