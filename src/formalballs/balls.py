@@ -109,9 +109,9 @@ def way_inside(u: BallOpen, eps: Fraction, v: BallOpen, effort: int) -> Query:
     eps = parse_rational(eps)
     if eps <= 0:
         raise ValueError("way_inside margin must be positive")
+    _require_same_carrier(u, v)
     if not u.balls:
         return Query.YES
-    _require_same_carrier(u, v)
     return Query.YES if dominated(u, v, eps) else Query.NOT_YET
 
 
@@ -148,7 +148,9 @@ def meet_witness(u: BallOpen, v: BallOpen, effort: int) -> Optional[FormalBall]:
     """Search for a ball lying way inside both u and v.
 
     A candidate center c qualifies when it has a slack in both opens; the
-    witness is b(c, s/4) for the smaller slack s.
+    witness is b(c, eps), eps = s/4 for the smaller slack s, way inside both
+    opens by eps.  Lemma: the ball b(y, r) that gives c its slack su in u
+    has d(c, y) + eps + eps <= r - su + su/2 < r; likewise in v.
 
     Returns None if no witness was found; that is not a refutation of
     overlap.  Carrier distances are exact, so the answer does not depend
@@ -167,10 +169,5 @@ def meet_witness(u: BallOpen, v: BallOpen, effort: int) -> Optional[FormalBall]:
         su = slack(u, c)
         sv = None if su is None else slack(v, c)
         if sv is not None:
-            eps = min(su, sv) / 4
-            w = FormalBall(c, eps)
-            wo = BallOpen.of(carrier, w)
-            # witness must sit way inside both opens with a positive margin
-            if dominated(wo, u, eps) and dominated(wo, v, eps):
-                return w
+            return FormalBall(c, min(su, sv) / 4)
     return None

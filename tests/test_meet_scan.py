@@ -4,18 +4,20 @@
 contains the candidate center; the loop below subtracts for every ball and
 tests the best slack's sign afterwards.  Both must give the same witness,
 and ``regularize`` (which asks ``meet_witness`` about every generator pair)
-the same generators or the same failing pair.  A finite space's distance
-is its table entry.
+the same generators or the same failing pair.  ``meet_witness`` returns
+its ball without asking whether it is way inside both opens; the test of
+that domination, dropped from the library by its lemma, is asserted here
+on every witness.  A finite space's distance is its table entry.
 """
 
 from fractions import Fraction
 from unittest import mock
 
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from formalballs import balls
-from formalballs.balls import BallOpen, FormalBall, meet_witness, way_inside
+from formalballs.balls import BallOpen, FormalBall, dominated, meet_witness, way_inside
 from formalballs.carriers import finite_space, product_space, rational_line
 from formalballs.completion import CertificateError, FilterSeed, regularize
 
@@ -112,6 +114,18 @@ def test_meet_witness_matches_the_full_slack_loop(data, carrier_case, effort):
     carrier, elements = carrier_case
     u, v = opens(data, carrier, elements), opens(data, carrier, elements)
     assert meet_witness(u, v, effort) == reference_meet_witness(u, v, effort)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), carriers())
+def test_meet_witness_is_way_inside_both_opens_by_its_radius(data, carrier_case):
+    carrier, elements = carrier_case
+    u, v = opens(data, carrier, elements), opens(data, carrier, elements)
+    w = meet_witness(u, v, 0)
+    event("witness" if w is not None else "none")
+    if w is not None:
+        wo = BallOpen.of(carrier, w)
+        assert dominated(wo, u, w.radius) and dominated(wo, v, w.radius)
 
 
 def _regularized(seed, effort):
