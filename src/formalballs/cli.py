@@ -8,12 +8,12 @@ is written.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import re
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 from .balls import (
     BallOpen,
@@ -218,6 +218,13 @@ def _load_payload(args) -> dict:
     return payload
 
 
+def _field(obj: dict, key: str, path: str):
+    """``obj[key]``; a missing key exits 2 naming it, as "<path>.<key> is missing"."""
+    if key not in obj:
+        raise ParseFailure(f"{path}.{key} is missing")
+    return obj[key]
+
+
 # the keys each carrier type reads; any other key is rejected, not ignored
 _CARRIER_KEYS = {"line": {"type"}, "finite": {"type", "n", "d"}}
 
@@ -241,21 +248,20 @@ def _element(carrier, x):
     return parse_rational(x) if carrier.kind == ("line",) else parse_int(x)
 
 
-def _open_from_json(carrier, balls) -> BallOpen:
-    """A ball open: a JSON array of {"c": center, "r": radius} objects."""
+def _open_from_json(carrier, balls, path: str) -> BallOpen:
+    """The ball open at ``path``: a JSON array of {"c": center, "r": radius} objects."""
     if not (isinstance(balls, list) and all(isinstance(b, dict) for b in balls)):
         raise ParseFailure(f"a ball open must be a JSON array of objects, got {balls!r}")
 
-    def center(c):
+    def ball(i, b):
+        at = f"{path}[{i}]"
+        c = _field(b, "c", at)
         x = _element(carrier, c)
         if not carrier.contains(x):
             raise ParseFailure(f"ball center {c!r} is not a point of the carrier")
-        return x
+        return FormalBall(x, parse_rational(_field(b, "r", at)))
 
-    return BallOpen(
-        carrier,
-        tuple(FormalBall(center(b["c"]), parse_rational(b["r"])) for b in balls),
-    )
+    return BallOpen(carrier, tuple(ball(i, b) for i, b in enumerate(balls)))
 
 
 # Largest space sizes accepted: ``spec`` costs grow as n^3 (n = 32 takes about
@@ -264,9 +270,9 @@ ADMISSIBLE_MAX_N = 10_000
 SPEC_MAX_N = 32
 
 
-def _space_size(payload, limit: int) -> int:
+def _space_size(payload, limit: int, command: str) -> int:
     """The payload's "n": a JSON integer, not a bool, from 1 to limit."""
-    n = payload["n"]
+    n = _field(payload, "n", f"{command}: payload")
     if isinstance(n, bool) or not isinstance(n, int) or not 1 <= n <= limit:
         raise ParseFailure(f'"n" must be an integer from 1 to {limit}')
     return n
@@ -307,30 +313,31 @@ def _cmd_map_apply(args):
 
 
 def _cmd_ball_check(args):
+    at = "ball-check: payload"  # where a missing field is said to be
     payload = _load_payload(args)
     carrier = _carrier_from_json(payload.get("carrier", {}))
     check = payload.get("check")
-    u = _open_from_json(carrier, payload.get("u", []))
+    u = _open_from_json(carrier, payload.get("u", []), "ball-check: payload.u")
     if check == "way-inside":
-        v = _open_from_json(carrier, payload["v"])
-        ans = way_inside(u, parse_rational(payload["eps"]), v, args.effort)
+        v = _open_from_json(carrier, _field(payload, "v", at), "ball-check: payload.v")
+        ans = way_inside(u, parse_rational(_field(payload, "eps", at)), v, args.effort)
         return 0, {"check": check, "answer": ans.label}
     if check == "diameter":
-        q = parse_rational(payload["q"])
+        q = parse_rational(_field(payload, "q", at))
         if q <= 0:
             raise ParseFailure("threshold must be a positive rational")
         return 0, {"check": check, "answer": "Yes" if diameter(u) < q else "NotYet"}
     if check == "positive":
         return 0, {"check": check, "answer": is_positive(u)}
     if check == "meet":
-        v = _open_from_json(carrier, payload["v"])
+        v = _open_from_json(carrier, _field(payload, "v", at), "ball-check: payload.v")
         w = meet_witness(u, v, args.effort)
         found = None
         if w is not None:
             found = {"c": repr(w.center), "r": rational_str(w.radius)}
         return 0, {"check": check, "witness": found}
     if check == "member":
-        p = point_of_carrier(carrier, _element(carrier, payload["point"]))
+        p = point_of_carrier(carrier, _element(carrier, _field(payload, "point", at)))
         ans = member_query(p, u, args.effort)
         return 0, {"check": check, "answer": ans.label}
     raise ParseFailure(f"unknown ball check {check!r}")
@@ -344,15 +351,15 @@ def _cmd_mm_check(args):
         if key in RATIONAL_PARTS:
             data[key] = parse_rational(value)
         else:
-            data[key] = _open_from_json(LINE, value)
-    inst = MMInstance(payload["axiom"], data)
+            data[key] = _open_from_json(LINE, value, f"mm-check: payload.parts.{key}")
+    inst = MMInstance(_field(payload, "axiom", "mm-check: payload"), data)
     report = check_axiom(inst, f, args.effort)
     return (1 if report["result"] == "Fail" else 0), report
 
 
 def _cmd_admissible(args):
     payload = _load_payload(args)
-    space = FiniteDiscreteSpace(_space_size(payload, ADMISSIBLE_MAX_N))
+    space = FiniteDiscreteSpace(_space_size(payload, ADMISSIBLE_MAX_N, "admissible"))
 
     def subset(s):
         if not isinstance(s, list):
@@ -373,7 +380,7 @@ def _cmd_admissible(args):
 
 def _cmd_spec(args):
     payload = _load_payload(args)
-    n = _space_size(payload, SPEC_MAX_N)
+    n = _space_size(payload, SPEC_MAX_N, "spec")
     chars = spectrum_of_cn(n)
     samples = [
         (
@@ -397,87 +404,98 @@ def _cmd_law_suite(args):
     return (0 if report["result"] == "Pass" else 1), report
 
 
-class _Parser(argparse.ArgumentParser):
-    """An argument parser whose usage errors raise ParseFailure (exit 2)."""
+# -- argument reader -------------------------------------------------------
 
-    def error(self, message):
-        raise ParseFailure(message)
-
-
-def build_parser() -> argparse.ArgumentParser:
-    common = _Parser(add_help=False)
-    common.add_argument("--precision", type=int, default=30,
-                        help="readout precision in bits (default 30)")
-    common.add_argument("--effort", type=int, default=64,
-                        help="query effort for semi-decisions (default 64)")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for sampled checks (default 0)")
-    common.add_argument("--output", default=None, help="write JSON to this path")
-    common.add_argument("--pretty", action="store_true",
-                        help="indent the JSON output")
-    parser = _Parser(
-        prog="formalballs",
-        description="Exact formal-ball calculus: evaluation, checks, law suite.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser(
-        "real-eval",
-        parents=[common],
-        help="evaluate an exact real expression",
-        description="Grammar: rationals 'p/q'; add(x,y) sub(x,y) neg(x) "
-        "abs(x) max(x,y) min(x,y) mul(x,y,bound).",
-    )
-    p.add_argument("expr")
-    p.set_defaults(handler=_cmd_real_eval)
-
-    p = sub.add_parser(
-        "map-apply",
-        parents=[common],
-        help="apply a map expression to a rational point",
-        description="Map grammar: id, const(q), add(q), scale(q), neg, abs, "
-        "compose(f,g), pair(f,g), proj1, proj2.",
-    )
-    p.add_argument("map")
-    p.add_argument("point", help="rational 'p/q', or 'x,y' for product sources")
-    p.set_defaults(handler=_cmd_map_apply)
-
-    for name, handler in (
-        ("ball-check", _cmd_ball_check),
-        ("mm-check", _cmd_mm_check),
-        ("admissible", _cmd_admissible),
-        ("spec", _cmd_spec),
-    ):
-        p = sub.add_parser(name, parents=[common],
-                           help=f"run the {name} check on a JSON payload")
-        p.add_argument("payload", nargs="?", default=None,
-                       help="JSON payload (reads stdin when omitted)")
-        p.set_defaults(handler=handler)
-
-    p = sub.add_parser("law-suite", parents=[common],
-                       help="run the seeded property catalog")
-    p.set_defaults(handler=_cmd_law_suite)
-    return parser
+# subcommand -> (positional names, help).  Its handler is the module's
+# ``_cmd_<name>`` when ``build_parser`` runs, so that a handler replaced on the
+# module (a tracer's wrapper, say) is the one called.  A left-out "payload" is
+# read from stdin.
+_COMMANDS = {
+    "real-eval": (("expr",), "evaluate an exact real expression; grammar: rationals "
+                  "'p/q', add(x,y) sub(x,y) neg(x) abs(x) max(x,y) min(x,y) mul(x,y,bound)"),
+    "map-apply": (("map", "point"), "apply a map to a point 'p/q' ('x,y' for a pair "
+                  "source); grammar: id, const(q), add(q), scale(q), neg, abs, "
+                  "compose(f,g), pair(f,g), proj1, proj2"),
+    **{name: (("payload",), f"run the {name} check on a JSON payload (read from "
+              "stdin when omitted)") for name in ("ball-check", "mm-check", "admissible", "spec")},
+    "law-suite": ((), "run the seeded property catalog"),
+}
+# flag -> (reader of its value, None for a switch; default; help)
+_FLAGS = {
+    "--precision": (parse_int, 30, "readout precision in bits (default 30)"),
+    "--effort": (parse_int, 64, "query effort for semi-decisions (default 64)"),
+    "--seed": (parse_int, 0, "seed for sampled checks (default 0)"),
+    "--output": (str, None, "write JSON to this path"),
+    "--pretty": (None, False, "indent the JSON output (takes no value)"),
+}
+_DEFAULTS = {flag[2:]: default for flag, (_, default, _) in _FLAGS.items()}
 
 
-_PARSERS: dict = {}  # build function -> the parser it built
+class _Reader:
+    """Reads argv in the forms of README "Command line" into a handler's namespace."""
+
+    def __init__(self, handlers):
+        self.handlers = handlers
+
+    def parse_args(self, argv=None):
+        argv = sys.argv[1:] if argv is None else argv
+        command = argv[0] if argv else None
+        if command not in _COMMANDS:
+            if command in ("-h", "--help"):
+                _help()
+            raise ParseFailure(f"the first argument must be one of: {', '.join(_COMMANDS)}")
+        args, positionals, tokens = dict(_DEFAULTS), [], iter(argv[1:])
+        for token in tokens:
+            if token[:1] != "-" or _RATIONAL.match(token):
+                positionals.append(token)
+            elif token == "--":
+                positionals += tokens  # the rest, which ends the loop
+            elif token in ("-h", "--help"):
+                _help()
+            else:
+                flag, eq, value = token.partition("=")
+                if flag not in _FLAGS:
+                    raise ParseFailure(f"unknown flag {token!r}")
+                read = _FLAGS[flag][0]
+                if read is None and eq:
+                    raise ParseFailure(f"{flag} takes no value")
+                if read is not None and not eq:
+                    value = next(tokens, None)
+                    if value is None or (value[:1] == "-" and not _RATIONAL.match(value)):
+                        raise ParseFailure(f"{flag} needs a value")
+                try:
+                    args[flag[2:]] = True if read is None else read(value)
+                except ValueError as exc:
+                    raise ParseFailure(f"{flag}: {exc}") from None
+        names = _COMMANDS[command][0]
+        if not positionals and names == ("payload",):
+            positionals.append(None)
+        if len(positionals) != len(names):
+            raise ParseFailure(f"{command} expects {' '.join(names) or 'no arguments'}; "
+                               f"got {len(positionals)}")
+        args.update(zip(names, positionals))
+        return SimpleNamespace(command=command, handler=self.handlers[command], **args)
 
 
-def _parser() -> argparse.ArgumentParser:
-    """The parser of the current ``build_parser``, built once per process.
+def _help():
+    """Print the usage text of the two tables and exit 0 (2 if stdout is closed)."""
+    lines = [f"usage: formalballs {{{','.join(_COMMANDS)}}} [arguments] [flags]", ""]
+    lines += [f"  {' '.join((name, *names))}\n      {text}"
+              for name, (names, text) in _COMMANDS.items()]
+    lines += ["", "flags, after the subcommand as --flag VALUE or --flag=VALUE; '--' ends them:"]
+    lines += [f"  {flag}\n      {text}" for flag, (_, _, text) in _FLAGS.items()]
+    raise SystemExit(_emit("\n".join(lines), 0))
 
-    Keyed by the build function, so a ``build_parser`` replaced at module
-    level (a tracer's wrapper, say) gets a parser of its own.
-    """
-    parser = _PARSERS.get(build_parser)
-    if parser is None:
-        parser = _PARSERS[build_parser] = build_parser()
-    return parser
+
+def build_parser() -> _Reader:
+    """A reader that calls the module's current ``_cmd_*`` handlers."""
+    g = globals()
+    return _Reader({name: g["_cmd_" + name.replace("-", "_")] for name in _COMMANDS})
 
 
 def main(argv=None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = build_parser().parse_args(argv)
         if args.precision < 1 or args.effort < 1:
             raise ParseFailure("precision and effort must be >= 1")
         code, payload = args.handler(args)

@@ -84,13 +84,15 @@ class MMInstance:
     data: dict
 
 
-def validate_instance(inst: MMInstance) -> None:
-    """Reject malformed instances (missing parts or failed side conditions).
+def validate_instance(inst: MMInstance, f: MapRep) -> None:
+    """Reject malformed instances: missing parts, parts over another carrier
+    than the map's, or failed side conditions, checked in that order.
 
     The side conditions of MM1 and MM5 are exact decisions on the ball
-    representation; ``way_inside`` ignores the effort 16 it is given.
-    MM1's Pass rests on both of its containments (see ``_check_mm1``); a
-    failed premise, budget or stage search is Inconclusive there, not an error.
+    representation, in the distances of the carriers just checked;
+    ``way_inside`` ignores the effort 16 it is given.  MM1's Pass rests on
+    both of its containments (see ``_check_mm1``); a failed premise, budget
+    or stage search is Inconclusive there, not an error.
     """
     need = MM_PARTS.get(inst.axiom) if isinstance(inst.axiom, str) else None
     if need is None:
@@ -103,6 +105,8 @@ def validate_instance(inst: MMInstance) -> None:
         if key in RATIONAL_PARTS:
             if parse_rational(d[key]) <= 0:
                 raise ValueError(f"{inst.axiom}: {key} must be positive")
+        elif d[key].carrier.kind != (f.target if key in TARGET_PARTS else f.source).kind:
+            raise ValueError(f"{inst.axiom}: part {key!r} has the wrong carrier")
         elif not d[key].balls:
             raise ValueError(f"{inst.axiom}: part {key!r} must be non-empty")
 
@@ -136,13 +140,7 @@ def check_axiom(inst: MMInstance, f: MapRep, effort: int) -> dict:
     does for a genuine metric map).  Inconclusive: a premise, an effort
     budget or a stage search failed.  A part over the wrong carrier raises.
     """
-    validate_instance(inst)
-    d = inst.data
-    for key in MM_PARTS[inst.axiom]:
-        if key not in RATIONAL_PARTS:
-            side = f.target if key in TARGET_PARTS else f.source
-            if d[key].carrier.kind != side.kind:
-                raise ValueError(f"{inst.axiom}: part {key!r} has the wrong carrier")
+    validate_instance(inst, f)
     checker = {
         "MM1": _check_mm1,
         "MM2": _check_mm2,
@@ -151,7 +149,7 @@ def check_axiom(inst: MMInstance, f: MapRep, effort: int) -> dict:
         "MM5": _check_mm5,
         "MM6": _check_mm6,
     }[inst.axiom]
-    return checker(d, f, effort)
+    return checker(inst.data, f, effort)
 
 
 def _check_mm1(d, f, effort):

@@ -416,7 +416,7 @@ def test_cli_contract_holds_for_any_input(command, texts, flags):
     """Exit code 0, 1 or 2, exactly one JSON document, nothing on stderr.
 
     The one exception is an explicit help flag (a text such as "-h"), for
-    which argparse prints its usage text and exits 0.
+    which the reader prints its usage text and exits 0.
     """
     out, err = io.StringIO(), io.StringIO()
     with mock.patch("sys.stdin", io.StringIO("")), \
@@ -456,21 +456,46 @@ def test_reused_parser_answers_as_a_fresh_one(capsys):
         ["real-eval", "1/3", "--precision", "8", "--pretty"],
         ["real-eval", "1/3"],  # flags of the last request must not stick
     )
+    reader = cli.build_parser()
+    with pytest.raises(ParseFailure):
+        reader.parse_args(requests[0])
+    for argv in requests[1:]:
+        assert vars(reader.parse_args(list(argv))) == vars(cli.build_parser().parse_args(argv))
 
-    def answers():
-        out = []
-        for argv in requests:
-            code = main(list(argv))
-            out.append((code, capsys.readouterr()))
-        return out
+    def answers(order):
+        out = {}
+        for i in order:
+            code = main(list(requests[i]))
+            out[i] = (code, capsys.readouterr())
+        return [out[i] for i in range(len(requests))]
 
-    with mock.patch.object(cli, "_parser", cli.build_parser):
-        fresh = answers()
-    build = mock.Mock(wraps=cli.build_parser)
-    with mock.patch.object(cli, "_PARSERS", {}), \
-            mock.patch.object(cli, "build_parser", build):
-        assert answers() == fresh
-        assert answers() == fresh
-    assert build.call_count == 1
+    fresh = answers(range(len(requests)))
+    assert answers(reversed(range(len(requests)))) == fresh
+    assert answers(range(len(requests))) == fresh
     assert [code for code, _ in fresh] == [2, 2, 0, 0]
     assert json.loads(fresh[3][1].out) == {"value": "1/3 ± 2^-30"}
+
+
+BALL = {"c": "0", "r": "1"}
+
+
+@pytest.mark.parametrize("command, payload, message", [
+    ("admissible", {"lowers": []}, "admissible: payload.n is missing"),
+    ("spec", {}, "spec: payload.n is missing"),
+    ("mm-check", {"map": "id", "parts": {}}, "mm-check: payload.axiom is missing"),
+    ("ball-check", {"check": "way-inside", "u": [BALL], "eps": "1"},
+     "ball-check: payload.v is missing"),
+    ("ball-check", {"check": "meet", "u": [BALL]}, "ball-check: payload.v is missing"),
+    ("ball-check", {"check": "way-inside", "u": [BALL], "v": [BALL]},
+     "ball-check: payload.eps is missing"),
+    ("ball-check", {"check": "diameter", "u": [BALL]}, "ball-check: payload.q is missing"),
+    ("ball-check", {"check": "member", "u": [BALL]}, "ball-check: payload.point is missing"),
+    ("ball-check", {"check": "positive", "u": [BALL, {"r": "1"}]},
+     "ball-check: payload.u[1].c is missing"),
+    ("ball-check", {"check": "meet", "u": [BALL], "v": [{"c": "0"}]},
+     "ball-check: payload.v[0].r is missing"),
+    ("mm-check", {"axiom": "MM3", "parts": {"u": [{"c": "0"}], "q": "1"}},
+     "mm-check: payload.parts.u[0].r is missing"),
+])
+def test_a_missing_payload_field_is_named(capsys, command, payload, message):
+    assert run_cli(capsys, command, json.dumps(payload)) == (2, {"error": message})

@@ -74,13 +74,14 @@ def test_holds_monotone_in_enlargement():
 
 
 def test_validate_rejects_malformed():
+    ID = line_map(1, 0)
     with pytest.raises(ValueError):
-        validate_instance(MMInstance("MM7", {}))
+        validate_instance(MMInstance("MM7", {}), ID)
     with pytest.raises(ValueError):
-        validate_instance(MMInstance("MM2", {"u": bo((0, 1)), "v": bo((0, 1))}))
+        validate_instance(MMInstance("MM2", {"u": bo((0, 1)), "v": bo((0, 1))}), ID)
     with pytest.raises(ValueError):
         validate_instance(
-            MMInstance("MM2", {"u": bo((0, 1)), "v": bo((0, 1)), "q": Fraction(-1)})
+            MMInstance("MM2", {"u": bo((0, 1)), "v": bo((0, 1)), "q": Fraction(-1)}), ID
         )
     with pytest.raises(ValueError):
         validate_instance(
@@ -92,8 +93,20 @@ def test_validate_rejects_malformed():
                     "v_small": bo((0, 1)),
                     "v": bo((0, 2)),
                 },
-            )
+            ),
+            ID,
         )
+
+
+def test_carriers_are_checked_before_the_side_conditions():
+    # MM1's containment u_small <= u would read the line distance on pairs
+    plane = product_space(LINE, LINE)
+    inst = MMInstance("MM1", {
+        "u_small": bo((0, 1)), "v_small": bo((0, 1)), "v": bo((0, 2)),
+        "u": BallOpen.of(plane, FormalBall((Fraction(0), Fraction(0)), Fraction(2))),
+    })
+    with pytest.raises(ValueError, match="MM1: part 'u' has the wrong carrier"):
+        check_axiom(inst, line_map(1, 0), 16)
 
 
 def test_mm1_identity_pass():

@@ -152,7 +152,7 @@ REFERENCE = {"MM1": reference_mm1, "MM2": reference_mm2, "MM3": reference_mm3,
 
 
 def reference_check(inst, f, effort):
-    validate_instance(inst)
+    validate_instance(inst, f)
     return REFERENCE[inst.axiom](inst.data, f, effort)
 
 

@@ -36,7 +36,7 @@ ALLOWED = {
     "carriers.MetricAxiomError.__init__": "failure path: a table breaks a metric axiom",
     "carriers.MetricCarrier.__repr__": "debugging aid",
     "carriers.gaussian_rationals": "bench/tracing.py wraps it by name",
-    "cli._Parser.error": "failure path: an argparse usage error",
+    "cli._help": "prints the usage text for -h/--help only; test_cli_reader runs it",
     "completion.CompletionPoint.to_json": "failure path: a round-trip violation",
     "gelfand._failure": "failure path: a failed admissibility witness",
     "upper.UpperReal.__repr__": "debugging aid",
