@@ -24,7 +24,7 @@ from .balls import (
     way_inside,
 )
 from .carriers import finite_space_from_json, rational_line
-from .completion import member_query, pair_point, point_of_carrier
+from .completion import member_query, point_of_carrier
 from .function_locale import RATIONAL_PARTS, MMInstance, check_axiom
 from .gelfand import (
     AlgebraElement,
@@ -68,7 +68,7 @@ class ParseFailure(ValueError):
     pass
 
 
-# -- tiny recursive descent parsers ----------------------------------------
+# -- the expression reader -------------------------------------------------
 
 _TOKEN = re.compile(r"\s*([a-zA-Z][a-zA-Z0-9]*|-?\d+(?:/\d+)?|[(),])")
 
@@ -87,121 +87,87 @@ def _tokenize(text: str):
     return out
 
 
-class _Tokens:
-    def __init__(self, toks):
-        self.toks = toks
-        self.i = 0
-
-    def peek(self):
-        return self.toks[self.i] if self.i < len(self.toks) else None
-
-    def next(self):
-        t = self.peek()
-        if t is None:
-            raise ParseFailure("unexpected end of expression")
-        self.i += 1
-        return t
-
-    def expect(self, t):
-        got = self.next()
-        if got != t:
-            raise ParseFailure(f"expected {t!r}, got {got!r}")
-
-    def done(self):
-        if self.i != len(self.toks):
-            raise ParseFailure(f"trailing input: {self.toks[self.i:]}")
-
-
 _RATIONAL = re.compile(r"-?\d+(?:/\d+)?$")
 
-
-def _parse_real(ts: _Tokens):
-    t = ts.next()
-    if _RATIONAL.match(t):
-        return real_of_rational(parse_rational(t))
-    ops1 = {"neg": neg_r, "abs": abs_r}
-    ops2 = {"add": add_r, "sub": sub_r, "max": max_r, "min": min_r}
-    if t in ops1:
-        ts.expect("(")
-        x = _parse_real(ts)
-        ts.expect(")")
-        return ops1[t](x)
-    if t in ops2:
-        ts.expect("(")
-        x = _parse_real(ts)
-        ts.expect(",")
-        y = _parse_real(ts)
-        ts.expect(")")
-        return ops2[t](x, y)
-    if t == "mul":
-        ts.expect("(")
-        x = _parse_real(ts)
-        ts.expect(",")
-        y = _parse_real(ts)
-        ts.expect(",")
-        bound = ts.next()
-        if not bound.isdigit():
-            raise ParseFailure("mul bound must be a natural number")
-        ts.expect(")")
-        return mul_r(x, y, int(bound))
-    raise ParseFailure(f"unknown real operator {t!r}")
-
-
-def parse_real_expr(text: str):
-    ts = _Tokens(_tokenize(text))
-    p = _parse_real(ts)
-    ts.done()
-    return p
-
-
-def _rational_arg(ts: _Tokens) -> Fraction:
-    t = ts.next()
-    if not _RATIONAL.match(t):
-        raise ParseFailure(f"expected a rational, got {t!r}")
-    return parse_rational(t)
-
-
-_LINE_MAPS = {
-    "const": lambda q: lipschitz_line_map(
-        lambda _x: q, 0, METRIC, f"const {rational_str(q)}"),
-    "add": lambda q: lipschitz_line_map(
-        lambda x: x + q, 1, ISOMETRIC, f"add {rational_str(q)}"),
-    "scale": lambda q: lipschitz_line_map(
+# operator -> (function, argument kinds): "r" a real, "m" a map, "q" a
+# rational, "n" a natural number.  An operator with no arguments takes no
+# parentheses.  Each function calls the module's globals when it runs, so a
+# wrapper set on the module (a tracer's, say) is the one called.
+_REAL_OPS = {
+    "neg": (lambda x: neg_r(x), "r"), "abs": (lambda x: abs_r(x), "r"),
+    "add": (lambda x, y: add_r(x, y), "rr"), "sub": (lambda x, y: sub_r(x, y), "rr"),
+    "max": (lambda x, y: max_r(x, y), "rr"), "min": (lambda x, y: min_r(x, y), "rr"),
+    "mul": (lambda x, y, bound: mul_r(x, y, bound), "rrn"),
+}
+_MAP_OPS = {
+    "id": (lambda: identity_map(LINE), ""),
+    "proj1": (lambda: proj_map(LINE, LINE, 1), ""),
+    "proj2": (lambda: proj_map(LINE, LINE, 2), ""),
+    "neg": (lambda: line_map(-1, 0, label="neg"), ""),
+    "abs": (lambda: lipschitz_line_map(abs, 1, METRIC, "abs"), ""),
+    "const": (lambda q: lipschitz_line_map(
+        lambda _x: q, 0, METRIC, f"const {rational_str(q)}"), "q"),
+    "add": (lambda q: lipschitz_line_map(
+        lambda x: x + q, 1, ISOMETRIC, f"add {rational_str(q)}"), "q"),
+    "scale": (lambda q: lipschitz_line_map(
         lambda x: q * x, abs(q), METRIC if abs(q) <= 1 else UNIFORM,
-        f"scale {rational_str(q)}"),
+        f"scale {rational_str(q)}"), "q"),
+    "compose": (lambda f, g: compose_maps(f, g), "mm"),
+    "pair": (lambda f, g: pair_maps(f, g), "mm"),
 }
 
 
-def _parse_map(ts: _Tokens) -> MapRep:
-    t = ts.next()
-    if t == "id":
-        return identity_map(LINE)
-    if t in ("proj1", "proj2"):
-        return proj_map(LINE, LINE, int(t[-1]))
-    if t == "neg":
-        return line_map(-1, 0, label="neg")
-    if t == "abs":
-        return lipschitz_line_map(abs, 1, METRIC, "abs")
-    if t in _LINE_MAPS:
-        ts.expect("(")
-        q = _rational_arg(ts)
-        ts.expect(")")
-        return _LINE_MAPS[t](q)
-    if t in ("compose", "pair"):
-        ts.expect("(")
-        f = _parse_map(ts)
-        ts.expect(",")
-        g = _parse_map(ts)
-        ts.expect(")")
-        return (compose_maps if t == "compose" else pair_maps)(f, g)
-    raise ParseFailure(f"unknown map operator {t!r}")
+def _next(tokens, want=None) -> str:
+    """The next token; it must be ``want`` when that is given."""
+    t = next(tokens, None)
+    if t is None:
+        raise ParseFailure("unexpected end of expression")
+    if want is not None and t != want:
+        raise ParseFailure(f"expected {want!r}, got {t!r}")
+    return t
+
+
+def _read(kind: str, tokens):
+    """Read one argument of ``kind`` (see the tables above) from the token
+    iterator; a real may also be a rational literal."""
+    t = _next(tokens)
+    if kind == "n":
+        if not t.isdigit():
+            raise ParseFailure("mul bound must be a natural number")
+        return int(t)
+    if kind != "m" and _RATIONAL.match(t):
+        q = parse_rational(t)
+        return q if kind == "q" else real_of_rational(q)
+    if kind == "q":
+        raise ParseFailure(f"expected a rational, got {t!r}")
+    name, ops = ("real", _REAL_OPS) if kind == "r" else ("map", _MAP_OPS)
+    if t not in ops:
+        raise ParseFailure(f"unknown {name} operator {t!r}")
+    fn, kinds = ops[t]
+    args = []
+    for i, arg in enumerate(kinds):
+        _next(tokens, "," if i else "(")
+        args.append(_read(arg, tokens))
+    if kinds:
+        _next(tokens, ")")
+    return fn(*args)
+
+
+def _parse(kind: str, text: str):
+    tokens = iter(_tokenize(text))
+    value = _read(kind, tokens)
+    rest = list(tokens)
+    if rest:
+        raise ParseFailure(f"trailing input: {rest}")
+    return value
+
+
+def parse_real_expr(text: str):
+    return _parse("r", text)
 
 
 def parse_map_expr(text: str) -> MapRep:
-    ts = _Tokens(_tokenize(text))
-    f = _parse_map(ts)
-    ts.done()
-    return f
+    return _parse("m", text)
 
 
 # -- payload helpers -------------------------------------------------------
@@ -294,17 +260,11 @@ def _cmd_real_eval(args):
 def _cmd_map_apply(args):
     f = parse_map_expr(args.map)
     parts = [parse_rational(s) for s in args.point.split(",")]
-    if f.source.kind == ("line",):
-        if len(parts) != 1:
-            raise ParseFailure("this map expects a single rational point")
-        p = point_of_carrier(LINE, parts[0])
-    else:
-        if len(parts) != 2:
-            raise ParseFailure("this map expects a pair point 'x,y'")
-        p = pair_point(
-            point_of_carrier(LINE, parts[0]), point_of_carrier(LINE, parts[1])
-        )
-    image = apply_map(f, p)
+    pair = f.source.kind != ("line",)
+    if len(parts) != (2 if pair else 1):
+        raise ParseFailure("this map expects a pair point 'x,y'" if pair
+                           else "this map expects a single rational point")
+    image = apply_map(f, point_of_carrier(f.source, tuple(parts) if pair else parts[0]))
     stage = image.approx(args.precision)
     if isinstance(stage, tuple):
         values = [_value_with_error(s, args.precision) for s in stage]
@@ -318,8 +278,9 @@ def _cmd_ball_check(args):
     carrier = _carrier_from_json(payload.get("carrier", {}))
     check = payload.get("check")
     u = _open_from_json(carrier, payload.get("u", []), "ball-check: payload.u")
-    if check == "way-inside":
+    if check in ("way-inside", "meet"):
         v = _open_from_json(carrier, _field(payload, "v", at), "ball-check: payload.v")
+    if check == "way-inside":
         ans = way_inside(u, parse_rational(_field(payload, "eps", at)), v, args.effort)
         return 0, {"check": check, "answer": ans.label}
     if check == "diameter":
@@ -330,7 +291,6 @@ def _cmd_ball_check(args):
     if check == "positive":
         return 0, {"check": check, "answer": is_positive(u)}
     if check == "meet":
-        v = _open_from_json(carrier, _field(payload, "v", at), "ball-check: payload.v")
         w = meet_witness(u, v, args.effort)
         found = None
         if w is not None:
@@ -345,7 +305,10 @@ def _cmd_ball_check(args):
 
 def _cmd_mm_check(args):
     payload = _load_payload(args)
-    f = parse_map_expr(payload.get("map", "id"))
+    text = payload.get("map", "id")
+    if not isinstance(text, str):
+        raise ParseFailure("mm-check: payload.map must be a string")
+    f = parse_map_expr(text)
     data = {}
     for key, value in payload.get("parts", {}).items():
         if key in RATIONAL_PARTS:

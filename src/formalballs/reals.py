@@ -229,8 +229,11 @@ def mul_c(a: ComplexPoint, b: ComplexPoint, bound: int) -> ComplexPoint:
     ``_dot_values`` (see the module docstring): the value of the folded
     ``mul_r``/``sub_r``/``add_r`` steps, with their errors in their order,
     the bound check first, then "could not certify |value| <= bound".  Int
-    coordinates give ints, as those steps do.
+    coordinates give ints, as those steps do.  A ``None`` bound raises
+    ``TypeError`` on every path; only ``dot_c`` reads it as the default.
     """
+    if bound is None:
+        raise TypeError("mul_c needs an int bound, got None")
     xr, xi = a.re.underlying._value, a.im.underlying._value
     yr, yi = b.re.underlying._value, b.im.underlying._value
     if xr is not None and xi is not None and yr is not None and yi is not None:

@@ -13,6 +13,7 @@ inputs, read in the same order.
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -171,3 +172,11 @@ def test_spectrum_characters_pass_on_constants_and_twins():
         for make in (constant, twin):
             rep = verify_character(character_of(pairs, make), samples, bound=8, k=16)
             assert rep["result"] == "Pass", rep
+
+
+def test_mul_c_rejects_a_none_bound_on_every_path():
+    # four constant coordinates used to fold under dot_c's default bound
+    for make in (constant, twin):
+        a = ComplexPoint(make(Fraction(1, 2)), make(1))
+        with pytest.raises(TypeError, match="^mul_c needs an int bound, got None$"):
+            mul_c(a, a, None)

@@ -499,3 +499,32 @@ BALL = {"c": "0", "r": "1"}
 ])
 def test_a_missing_payload_field_is_named(capsys, command, payload, message):
     assert run_cli(capsys, command, json.dumps(payload)) == (2, {"error": message})
+
+
+@pytest.mark.parametrize("argv, message", [
+    # the five malformed requests of the benchmark's cli workload
+    (["real-eval", "add(1/3"], "unexpected end of expression"),
+    (["real-eval", "frob(1)"], "unknown real operator 'frob'"),
+    (["map-apply", "wiggle", "1"], "unknown map operator 'wiggle'"),
+    (["map-apply", "id", "1,2"], "this map expects a single rational point"),
+    (["ball-check", "{not json"], "payload is not valid JSON: Expecting property name "
+     "enclosed in double quotes: line 1 column 2 (char 1)"),
+    # and its five contract-breaking ones
+    (["real-eval", "mul(5,5,2)"], "could not certify |value| <= 2"),
+    (["real-eval", "1/0"], "zero denominator in '1/0'"),
+    (["map-apply", "scale(2)", "1/0"], "zero denominator in '1/0'"),
+    (["ball-check", "[1]"], "payload must be a JSON object"),
+    (["ball-check", json.dumps({
+        "check": "member", "carrier": TWO_POINTS,
+        "u": [{"c": "-2", "r": "1"}], "point": "0",
+    })], "ball center '-2' is not a point of the carrier"),
+])
+def test_the_benchmark_error_texts_are_pinned(capsys, argv, message):
+    assert run_cli(capsys, *argv) == (2, {"error": message})
+
+
+@pytest.mark.parametrize("text", [None, [None]])
+def test_an_mm_check_map_that_is_no_string_is_named(capsys, text):
+    payload = {"axiom": "MM3", "map": text}
+    assert run_cli(capsys, "mm-check", json.dumps(payload)) == (
+        2, {"error": "mm-check: payload.map must be a string"})
