@@ -231,7 +231,7 @@ def _open_from_json(carrier, balls, path: str) -> BallOpen:
 
 
 # Largest space sizes accepted: ``spec`` costs grow as n^3 (n = 32 takes about
-# 0.06 s), ``admissible`` prints one value per point (n = 10000 takes about 0.05 s).
+# 0.03 s), ``admissible`` prints one value per point (n = 10000 takes about 0.05 s).
 ADMISSIBLE_MAX_N = 10_000
 SPEC_MAX_N = 32
 
@@ -309,8 +309,11 @@ def _cmd_mm_check(args):
     if not isinstance(text, str):
         raise ParseFailure("mm-check: payload.map must be a string")
     f = parse_map_expr(text)
+    parts = payload.get("parts", {})
+    if not isinstance(parts, dict):
+        raise ParseFailure("mm-check: payload.parts must be an object")
     data = {}
-    for key, value in payload.get("parts", {}).items():
+    for key, value in parts.items():
         if key in RATIONAL_PARTS:
             data[key] = parse_rational(value)
         else:
@@ -330,7 +333,17 @@ def _cmd_admissible(args):
         return frozenset(parse_int(i) for i in s)
 
     def side(name):
-        return [(subset(s), parse_rational(q)) for s, q in payload.get(name, [])]
+        pairs = payload.get(name, [])
+        if not isinstance(pairs, list):
+            raise ParseFailure(f"admissible: payload.{name} must be a JSON array of "
+                               "[subset, q] pairs")
+        read = []
+        for i, p in enumerate(pairs):
+            if not (isinstance(p, list) and len(p) == 2):
+                raise ParseFailure(f"admissible: payload.{name}[{i}] must be a [subset, q] "
+                                   f"pair, got {p!r}")
+            read.append((subset(p[0]), parse_rational(p[1])))
+        return read
 
     b = BasicOpenXR.of(side("lowers"), side("uppers"))
     adm = is_admissible(b, space)

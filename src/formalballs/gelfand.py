@@ -16,6 +16,7 @@ from typing import Callable, Optional
 from .numbers import half_pow, parse_rational, rational_str
 from .reals import (
     ComplexPoint,
+    _constant,
     add_c,
     complex_of_rational,
     conj_c,
@@ -24,6 +25,7 @@ from .reals import (
     modulus_c,
     modulus_interval,
     mul_c,
+    sum_c,
 )
 from .upper import UpperReal
 
@@ -178,14 +180,24 @@ def alg_star(a: AlgebraElement) -> AlgebraElement:
     return AlgebraElement(tuple(conj_c(x) for x in a.values))
 
 
+def _zero_one():
+    """The constant complex points 0 and 1, with ``Fraction`` coordinates.
+
+    Built without a parse or a ``contains`` check (``reals._constant``).
+    Every coordinate that holds 0 or 1 shares one call's point: each stage
+    of a constant point is its value, so no reader can tell them apart.
+    """
+    zero = _constant(Fraction(0))
+    return ComplexPoint(zero, zero), ComplexPoint(_constant(Fraction(1)), zero)
+
+
 def unit(n: int) -> AlgebraElement:
-    return AlgebraElement(tuple(complex_of_rational(1) for _ in range(n)))
+    return AlgebraElement((_zero_one()[1],) * n)
 
 
 def idempotent(n: int, i: int) -> AlgebraElement:
-    return AlgebraElement(
-        tuple(complex_of_rational(1 if j == i else 0) for j in range(n))
-    )
+    zero, one = _zero_one()
+    return AlgebraElement(tuple(one if j == i else zero for j in range(n)))
 
 
 def sup_norm(a: AlgebraElement) -> UpperReal:
@@ -243,8 +255,9 @@ class Character:
         would fold every step to the same exact rational, so the point is
         equal and no stage is read.  With ``bound=None``, the only bound
         ``spec`` passes, each term's default bound exceeds its coordinates
-        by more than 1, so the fold runs no certification that could fail.
-        An element of another length raises ``ValueError``.
+        by more than 1, so the fold runs no certification that could fail,
+        and it skips each term where chi(e_i) is 0.  An element of another
+        length raises ``ValueError``.
         """
         return dot_c(self.values, a.values, bound)
 
@@ -295,7 +308,7 @@ def _check_character(chi: Character, elements, k: int) -> dict:
         failures.append({"law": "unit", "witness": "1"})
 
     one_count = 0
-    total = complex_of_rational(0)
+    values = []
     for i, e in enumerate(idempotents):
         z = chi.apply(e)
         is0 = _close_to(z, Fraction(0), k)
@@ -304,8 +317,8 @@ def _check_character(chi: Character, elements, k: int) -> dict:
             failures.append({"law": "idempotent dichotomy", "witness": f"e{i}"})
         if is1:
             one_count += 1
-        total = add_c(total, z)
-    if not _close_to(total, Fraction(1), k):
+        values.append(z)
+    if not _close_to(sum_c(values), Fraction(1), k):
         failures.append({"law": "idempotent sum", "witness": "sum e_i"})
     if one_count != 1 and not failures:
         failures.append({"law": "projection count", "witness": str(one_count)})

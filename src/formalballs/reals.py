@@ -16,6 +16,17 @@ has the same stages.  A point is constant when it is built as one: its
 reads that slot as a plain attribute, not through a property, because
 every operator of every expression reads it; it never evaluates a stage.
 
+A folded result is built by ``_constant``, which skips the carrier's
+``contains`` check.  It needs none: a line point's ``_value`` is set only
+by ``point_of_carrier``, which checks it, or by ``_constant`` itself, so
+by induction every operand value is an int (not a bool) or a ``Fraction``.
+Sums, differences, products, negations, absolute values, maxima and minima
+of those, and ``Fraction(n, d)`` of two ints, are again ints or
+``Fraction``s, and the line contains every one of them.  ``real_of_rational``
+builds through it too, after ``parse_rational``, which returns only
+``Fraction``s.  ``point_of_carrier`` stays the constructor for a value of
+unknown type.
+
 A complex dot product of constant points (``dot_c``) is folded as a whole,
 in integers: the products are summed as unnormalised numerator/denominator
 pairs, and the sum is normalised into a ``Fraction`` once.  The folded loop
@@ -27,7 +38,13 @@ term is bounded and certified by the same integer rule as a constant factor
 of ``mul_r``.  Under the default bound the certification cannot fail, so it
 is not run: the default bound of a term is b = max(1, floor|c|) + 2 over
 its four coordinates c, so each has |c| < floor|c| + 1 <= b - 1, and
-|c| + 2^-16 <= b holds.
+|c| + 2^-16 <= b holds.  So under the default bound a term whose two x
+coordinates are 0 is skipped before its y coordinates are read: each of its
+four products is 0, so it adds nothing, and it has no certification to run.
+With an explicit bound such a term is still certified, y included.  A sum of
+constant complex points (``sum_c``) is folded the same way, as one sum of
+numerator/denominator pairs, which is the value the ``add_c`` chain from 0
+reaches one step at a time.
 
 Every stage is a ``Fraction`` (or an int), but the hot readouts compute on
 its numerator and denominator: the bound checks of ``_certify_bound`` and
@@ -48,7 +65,7 @@ from math import isqrt, lcm
 from typing import Callable
 
 from .carriers import rational_line
-from .completion import CompletionPoint, point_of_carrier
+from .completion import CompletionPoint
 from .numbers import parse_rational
 from .upper import UpperReal
 
@@ -85,54 +102,54 @@ def _real(fn: Callable[[int], Fraction]) -> RealPoint:
     return RealPoint(CompletionPoint(LINE, fn))
 
 
+def _constant(value) -> RealPoint:
+    """The constant point of a line element: ``value`` is an int (not a
+    bool) or a ``Fraction``, so the ``contains`` check is skipped."""
+    return RealPoint(CompletionPoint(LINE, lambda _n: value, value))
+
+
 def real_of_rational(q) -> RealPoint:
-    q = parse_rational(q)
-    return RealPoint(point_of_carrier(LINE, q))
+    return _constant(parse_rational(q))
 
 
 def complex_of_rational(re, im=0) -> ComplexPoint:
     return ComplexPoint(real_of_rational(re), real_of_rational(im))
 
 
-def _folded(value) -> RealPoint:
-    """The constant point of an exact result of constant operands."""
-    return RealPoint(point_of_carrier(LINE, value))
-
-
 def add_r(p: RealPoint, q: RealPoint) -> RealPoint:
     if p.underlying._value is not None and q.underlying._value is not None:
-        return _folded(p.underlying._value + q.underlying._value)
+        return _constant(p.underlying._value + q.underlying._value)
     # operand stages n+2: the two 2^-(n+2) errors sum below 2^-n
     return _real(lambda n: p.approx(n + 2) + q.approx(n + 2))
 
 
 def neg_r(p: RealPoint) -> RealPoint:
     if p.underlying._value is not None:
-        return _folded(-p.underlying._value)
+        return _constant(-p.underlying._value)
     return _real(lambda n: -p.approx(n))
 
 
 def sub_r(p: RealPoint, q: RealPoint) -> RealPoint:
     if p.underlying._value is not None and q.underlying._value is not None:
-        return _folded(p.underlying._value - q.underlying._value)
+        return _constant(p.underlying._value - q.underlying._value)
     return _real(lambda n: p.approx(n + 2) - q.approx(n + 2))
 
 
 def abs_r(p: RealPoint) -> RealPoint:
     if p.underlying._value is not None:
-        return _folded(abs(p.underlying._value))
+        return _constant(abs(p.underlying._value))
     return _real(lambda n: abs(p.approx(n)))
 
 
 def max_r(p: RealPoint, q: RealPoint) -> RealPoint:
     if p.underlying._value is not None and q.underlying._value is not None:
-        return _folded(max(p.underlying._value, q.underlying._value))
+        return _constant(max(p.underlying._value, q.underlying._value))
     return _real(lambda n: max(p.approx(n), q.approx(n)))
 
 
 def min_r(p: RealPoint, q: RealPoint) -> RealPoint:
     if p.underlying._value is not None and q.underlying._value is not None:
-        return _folded(min(p.underlying._value, q.underlying._value))
+        return _constant(min(p.underlying._value, q.underlying._value))
     return _real(lambda n: min(p.approx(n), q.approx(n)))
 
 
@@ -183,7 +200,7 @@ def mul_r(p: RealPoint, q: RealPoint, bound: int) -> RealPoint:
     _certify_bound(p, bound)
     _certify_bound(q, bound)
     if p.underlying._value is not None and q.underlying._value is not None:
-        return _folded(p.underlying._value * q.underlying._value)
+        return _constant(p.underlying._value * q.underlying._value)
     k = (2 * bound + 2).bit_length()
 
     def stage(n):
@@ -206,7 +223,7 @@ def scale_r(p: RealPoint, c) -> RealPoint:
     if c == 0:
         return real_of_rational(0)
     if p.underlying._value is not None:
-        return _folded(c * p.underlying._value)
+        return _constant(c * p.underlying._value)
     k = max(1, abs(c).__ceil__()).bit_length()
     return _real(lambda n: c * p.approx(n + k))
 
@@ -240,7 +257,7 @@ def mul_c(a: ComplexPoint, b: ComplexPoint, bound: int) -> ComplexPoint:
         re, im = _dot_values(((xr, xi, yr, yi),), bound)
         if not any(isinstance(c, Fraction) for c in (xr, xi, yr, yi)):
             re, im = re.numerator, im.numerator
-        return ComplexPoint(_folded(re), _folded(im))
+        return ComplexPoint(_constant(re), _constant(im))
     re = sub_r(mul_r(a.re, b.re, bound), mul_r(a.im, b.im, bound))
     im = add_r(mul_r(a.re, b.im, bound), mul_r(a.im, b.re, bound))
     return ComplexPoint(re, im)
@@ -270,13 +287,16 @@ def _dot_values(terms, bound):
     every coordinate passes ``_fits``.  With ``bound=None`` each term's
     bound is the one ``coord_bound`` reads off its constant stages, under
     which ``_fits`` cannot fail (the lemma in the module docstring), so
-    nothing is checked.  The products are summed as unnormalised integer
-    pairs and normalised once, at the end.
+    nothing is checked, and a term with x = 0 is skipped.  The products are
+    summed as unnormalised integer pairs and normalised once, at the end.
     """
     rn = imn = 0
     rd = imd = 1
     for xr, xi, yr, yi in terms:
-        an, ad, bn, bd = xr.numerator, xr.denominator, xi.numerator, xi.denominator
+        an, bn = xr.numerator, xi.numerator
+        if bound is None and not an and not bn:
+            continue  # x = 0: the term adds nothing and certifies nothing
+        ad, bd = xr.denominator, xi.denominator
         cn, cd, dn, dd = yr.numerator, yr.denominator, yi.numerator, yi.denominator
         if bound is not None:
             if bound < 1:
@@ -321,11 +341,35 @@ def dot_c(xs, ys, bound: int = None) -> ComplexPoint:
         terms.append((xr, xi, yr, yi))
     else:
         re, im = _dot_values(terms, bound)
-        return ComplexPoint(_folded(re), _folded(im))
+        return ComplexPoint(_constant(re), _constant(im))
     acc = complex_of_rational(0)
     for x, y in zip(xs, ys):
         b = bound if bound is not None else coord_bound(x, y)
         acc = add_c(acc, mul_c(x, y, b))
+    return acc
+
+
+def sum_c(zs) -> ComplexPoint:
+    """Sum of a sequence of complex points: the ``add_c`` chain from 0.
+
+    When every coordinate is constant, the sum is folded as one sum of
+    unnormalised numerator/denominator pairs, normalised once into
+    ``Fraction``s: the value each folded ``add_c`` step would reach.
+    Otherwise it is the chain itself, which reads no stage when built.
+    """
+    rn = imn = 0
+    rd = imd = 1
+    for z in zs:
+        re, im = z.re.underlying._value, z.im.underlying._value
+        if re is None or im is None:
+            break
+        rn, rd = _add_pair(rn, rd, re.numerator, re.denominator)
+        imn, imd = _add_pair(imn, imd, im.numerator, im.denominator)
+    else:
+        return ComplexPoint(_constant(Fraction(rn, rd)), _constant(Fraction(imn, imd)))
+    acc = complex_of_rational(0)
+    for z in zs:
+        acc = add_c(acc, z)
     return acc
 
 

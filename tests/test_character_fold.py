@@ -8,7 +8,9 @@ unflagged twins, ``RealPoint(CompletionPoint(LINE, lambda n: q))``, which
 always take the loop: equal stages by repr, or the same error type and
 message.  Inputs that mix constant and unflagged coordinates must take the
 loop exactly as written before the fold: the same stages of the same
-inputs, read in the same order.
+inputs, read in the same order.  The idempotent sum of the character check
+(``sum_c``) and the skipped zero terms of the default-bound fold are held
+to the same standard.
 """
 
 from fractions import Fraction
@@ -17,6 +19,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from formalballs import gelfand, reals
+from formalballs.cli import main
 from formalballs.completion import CompletionPoint, point_of_carrier
 from formalballs.gelfand import AlgebraElement, Character, verify_character
 from formalballs.reals import (
@@ -27,7 +31,10 @@ from formalballs.reals import (
     add_c,
     complex_of_rational,
     coord_bound,
+    dot_c,
     mul_c,
+    real_of_rational,
+    sum_c,
 )
 
 
@@ -180,3 +187,125 @@ def test_mul_c_rejects_a_none_bound_on_every_path():
         a = ComplexPoint(make(Fraction(1, 2)), make(1))
         with pytest.raises(TypeError, match="^mul_c needs an int bound, got None$"):
             mul_c(a, a, None)
+
+
+# -- the idempotent sum, the zero-term skip and the unchecked constants -----
+
+
+def loop_sum(zs) -> ComplexPoint:
+    """``sum_c`` as written before the fold: the ``add_c`` chain from 0."""
+    acc = complex_of_rational(0)
+    for z in zs:
+        acc = add_c(acc, z)
+    return acc
+
+
+def points_of(pairs, make):
+    return [ComplexPoint(make(re), make(im)) for re, im in pairs]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(rationals, rationals), max_size=5), stage_lists)
+@example([], [0])
+@example([(1, 0), (0, 0), (Fraction(1, 3), Fraction(-1, 6))], [0, 7])
+def test_sum_c_folds_to_the_add_c_chains_stages(pairs, ns):
+    folded = outcome(lambda: sum_c(points_of(pairs, constant)), ns)
+    assert folded == outcome(lambda: loop_sum(points_of(pairs, twin)), ns)
+    assert folded == outcome(lambda: loop_sum(points_of(pairs, constant)), ns)
+    zs = points_of(pairs, constant)
+    total = sum_c(zs)
+    assert total.re.underlying._value is not None and total.im.underlying._value is not None
+    for z in zs:
+        assert z.re.underlying._stages == {} and z.im.underlying._stages == {}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(rationals, rationals), min_size=1, max_size=5), st.data(),
+       stage_lists)
+def test_sum_c_on_mixed_inputs_reads_the_same_stages(pairs, data, ns):
+    flags = data.draw(st.lists(st.booleans(), min_size=2 * len(pairs),
+                               max_size=2 * len(pairs)))
+
+    def build(log):
+        coords = iter(zip(flags, range(len(flags))))
+
+        def make(q):
+            is_twin, tag = next(coords)
+            return twin(q, log, tag) if is_twin else constant(q)
+
+        return points_of(pairs, make)
+
+    new_log, old_log = [], []
+    assert outcome(lambda: sum_c(build(new_log)), ns) == outcome(
+        lambda: loop_sum(build(old_log)), ns)
+    assert new_log == old_log
+
+
+# mostly zeros, so that whole terms with x = 0 are common
+sparse = st.sampled_from([0, 0, 0, Fraction(0), 1, Fraction(-2, 3)]) | rationals
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.lists(st.tuples(sparse, sparse), min_size=n, max_size=n),
+    st.lists(st.tuples(rationals, rationals), min_size=n, max_size=n))), stage_lists)
+@example(([(0, 0), (1, 0)], [(12, -12), (Fraction(1, 3), 2)]), [0])
+@example(([(0, Fraction(0)), (0, 0)], [(5, 5), (-7, 1)]), [0, 3])
+def test_zero_terms_skipped_under_the_default_bound_equal_the_twin_loop(case, ns):
+    chi_pairs, a_pairs = case
+    chi, a = character_of(chi_pairs, constant), element_of(a_pairs, constant)
+    folded = outcome(lambda: chi.apply(a), ns)
+    assert folded == outcome(
+        lambda: character_of(chi_pairs, twin).apply(element_of(a_pairs, twin)), ns)
+    assert folded == outcome(lambda: loop_apply(chi, a), ns)
+
+
+@pytest.mark.parametrize("make", [constant, twin])
+def test_a_zero_term_is_still_certified_under_an_explicit_bound(make):
+    # x = 0 adds nothing, but its y = 5 escapes the bound 2
+    chi = character_of([(1, 0), (0, 0)], make)
+    a = element_of([(1, 0), (5, 0)], make)
+    with pytest.raises(BoundViolation, match=r"^could not certify \|value\| <= 2$"):
+        chi.apply(a, 2).approx(0)
+    with pytest.raises(BoundViolation, match=r"^could not certify \|value\| <= 2$"):
+        dot_c(chi.values[1:], a.values[1:], 2).approx(0)
+
+
+def test_real_of_rational_still_rejects_a_bool():
+    for q in (True, False):
+        with pytest.raises(ValueError, match="not a rational"):
+            real_of_rational(q)
+        with pytest.raises(ValueError, match="not a rational"):
+            complex_of_rational(1, q)
+
+
+def test_every_unchecked_constant_is_a_line_element(monkeypatch, capsys):
+    """Each value ``_constant`` receives passes the line's ``contains`` check.
+
+    The traffic is every folding operator, the spec of C^5, and README-style
+    ``real-eval`` requests; ``gelfand`` holds its own name for ``_constant``.
+    """
+    seen = []
+    real_constant = reals._constant
+
+    def checked(value):
+        seen.append(value)
+        assert LINE.contains(value), repr(value)
+        return real_constant(value)
+
+    monkeypatch.setattr(reals, "_constant", checked)
+    monkeypatch.setattr(gelfand, "_constant", checked)
+    x, y = real_of_rational(Fraction(-7, 3)), real_of_rational(2)
+    for op in (reals.add_r, reals.sub_r, reals.max_r, reals.min_r):
+        op(x, y), op(constant(3), constant(-4))  # ints fold to ints
+    reals.neg_r(x), reals.abs_r(x), reals.scale_r(x, "3/4"), reals.scale_r(y, 0)
+    reals.mul_r(x, y, 3)
+    z, w = complex_of_rational(1, Fraction(1, 2)), complex_of_rational(-3, 2)
+    mul_c(z, w, 4), dot_c([z, w], [w, z]), sum_c([z, w])
+    mul_c(*[ComplexPoint(constant(3), constant(-1))] * 2, 4)
+    for argv in (["spec", '{"n": 5}'], ["real-eval", "mul(sub(1/2, 3), abs(-5/4), 8)"],
+                 ["real-eval", "max(neg(1/3), min(2, add(1, 1/7)))"]):
+        assert main(argv) == 0
+    capsys.readouterr()
+    assert len(seen) > 100
+    assert {type(v) for v in seen} == {int, Fraction}

@@ -528,3 +528,26 @@ def test_an_mm_check_map_that_is_no_string_is_named(capsys, text):
     payload = {"axiom": "MM3", "map": text}
     assert run_cli(capsys, "mm-check", json.dumps(payload)) == (
         2, {"error": "mm-check: payload.map must be a string"})
+
+
+def test_mm_check_parts_that_are_no_object_are_named(capsys):
+    for parts in ([], "u", 3, None):
+        payload = {"axiom": "MM3", "map": "id", "parts": parts}
+        assert run_cli(capsys, "mm-check", json.dumps(payload)) == (
+            2, {"error": "mm-check: payload.parts must be an object"})
+
+
+@pytest.mark.parametrize("side, value, message", [
+    ("lowers", {"a": 1}, "admissible: payload.lowers must be a JSON array of [subset, q] pairs"),
+    ("lowers", 5, "admissible: payload.lowers must be a JSON array of [subset, q] pairs"),
+    ("uppers", "ab", "admissible: payload.uppers must be a JSON array of [subset, q] pairs"),
+    ("lowers", [[[0], "1"], "ab"], "admissible: payload.lowers[1] must be a [subset, q] "
+     "pair, got 'ab'"),
+    ("uppers", [[[0], "1", "2"]], "admissible: payload.uppers[0] must be a [subset, q] "
+     "pair, got [[0], '1', '2']"),
+    ("uppers", [{"s": [0], "q": "1"}], "admissible: payload.uppers[0] must be a [subset, q] "
+     "pair, got {'s': [0], 'q': '1'}"),
+])
+def test_admissible_sides_that_are_no_pair_lists_are_named(capsys, side, value, message):
+    payload = json.dumps({"n": 2, side: value})
+    assert run_cli(capsys, "admissible", payload) == (2, {"error": message})

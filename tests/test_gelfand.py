@@ -236,6 +236,29 @@ def test_verify_spectrum_builds_the_elements_once_per_n(monkeypatch):
     assert sorted(built) == [("1", 4)] + [("e", 4, i) for i in range(4)]
 
 
+@pytest.mark.parametrize("n, points", [(5, 192), (32, 2946)])
+def test_spec_point_constructions_are_pinned(monkeypatch, capsys, n, points):
+    """The completion points one ``spec`` request builds, a count of its work.
+
+    Before the elements were built from unchecked shared constants and the
+    idempotent sum was folded, the counts were 330 (n = 5) and 9024 (n = 32).
+    A change that moves them names the new counts and the reason.
+    """
+    from formalballs.cli import main
+
+    built = []
+    real_init = CompletionPoint.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(CompletionPoint, "__init__", counting)
+    assert main(["spec", '{"n": %d}' % n]) == 0
+    capsys.readouterr()
+    assert len(built) == points
+
+
 def test_duality_round_trip():
     for n in (1, 2, 3, 4):
         rep = duality_round_trip(n, k=16)
