@@ -78,19 +78,23 @@ def member_query(p: CompletionPoint, u: BallOpen, effort: int) -> Query:
     radius 2^-n is smallest at n = effort, so no earlier stage can succeed
     where that one fails.  ``deepest_stage`` gives the stage and margin
     behind a Yes; this loop stops at the first stage ball inside u.
+
+    The test d + 2^-n < R is decided times the positive dd * rd * 2^n, as
+    ``balls`` decides its rules, so no 2^-n is built.
     """
     if p.carrier.kind != u.carrier.kind:
         raise ValueError("point and open live over different carriers")
     if not u.balls:
         return Query.NOT_YET
-    carrier = p.carrier
+    dist = p.carrier.dist
     for n in (effort,) if p._value is not None else range(effort, -1, -1):
         x = p.approx(n)
-        r = half_pow(n)
         for b in u.balls:
-            d = carrier.dist(x, b.center)
+            r = b.radius
+            d = dist(x, b.center)
+            rd, dd = r.denominator, d.denominator
             # strict slack leaves room for a positive way-inside margin
-            if d + r < b.radius:
+            if ((d.numerator * rd) << n) + dd * rd < (r.numerator * dd) << n:
                 return Query.YES
     return Query.NOT_YET
 
@@ -103,20 +107,25 @@ def deepest_stage(p: CompletionPoint, u: BallOpen, effort: int):
     ``member_query(p, u_q, effort)`` is Yes iff the margin exceeds q, for
     u_q shrinking each radius by q and dropping the balls with r <= q.  A
     point built constant counts stage ``effort`` alone, as in member_query.
+
+    With s = sn/sd the margin is ((sn << n) - sd) / (sd << n); margins are
+    compared as integer products, and the winner is built once.
     """
     if p.carrier.kind != u.carrier.kind:
         raise ValueError("point and open live over different carriers")
     if not u.balls:
         return None
     best = None
+    num, den = 0, 1
     for n in (effort,) if p._value is not None else range(effort, -1, -1):
         s = slack(u, p.approx(n))
         if s is not None:
-            margin = s - half_pow(n)
+            sd = s.denominator
+            mn, md = (s.numerator << n) - sd, sd << n
             # descending n: on a tie the smaller stage replaces the larger
-            if margin > 0 and (best is None or margin >= best[0]):
-                best = (margin, n)
-    return best
+            if mn > 0 and (best is None or mn * den >= num * md):
+                num, den, best = mn, md, n
+    return None if best is None else (Fraction(num, den), best)
 
 
 def point_distance(p: CompletionPoint, q: CompletionPoint) -> UpperReal:
@@ -219,18 +228,24 @@ def regularize(f: FilterSeed, effort: int = 32) -> FilterSeed:
         for j in range(i + 1, len(gens)):
             if meet_witness(u, gens[j], effort) is None:
                 raise CertificateError("no meet witness for generator pair", (i, j))
-    min_radius = min(
-        (b.radius for g in gens for b in g.balls), default=Fraction(1)
-    )
+    # the smallest radius m = mn/md, compared as integer products
+    mn, md = None, 1
+    for g in gens:
+        for b in g.balls:
+            r = b.radius
+            if mn is None or r.numerator * md < mn * r.denominator:
+                mn, md = r.numerator, r.denominator
     shrunk = []
     for k, g in enumerate(gens):
-        eps = half_pow(k) * min_radius / 4
-        shrunk.append(
-            BallOpen(
-                g.carrier,
-                tuple(FormalBall(b.center, b.radius - eps) for b in g.balls),
-            )
-        )
+        # eps = 2^-k * m / 4 = mn / (md << (k + 2)); each radius r - eps is
+        # one Fraction built from integers
+        ed = md << (k + 2)
+        balls = []
+        for b in g.balls:
+            r = b.radius
+            rd = r.denominator
+            balls.append(FormalBall(b.center, Fraction(r.numerator * ed - mn * rd, rd * ed)))
+        shrunk.append(BallOpen(g.carrier, tuple(balls)))
     return FilterSeed(tuple(shrunk), regular=True)
 
 

@@ -11,6 +11,8 @@ import enum
 from fractions import Fraction
 from typing import Callable
 
+from .numbers import parse_rational
+
 
 class Query(enum.Enum):
     YES = "yes"
@@ -46,6 +48,9 @@ class UpperReal:
     distance d, where the raw bound d + 2^(1-n) falls strictly, and
     ``of_rational`` sets it together with ``value``: the bound at every
     effort, which ``bound`` returns without evaluating a raw bound.
+
+    Raw bounds, running minima and thresholds are rationals, compared as
+    integer products: a/b < c/d iff a*d < c*b for positive b, d.
     """
 
     __slots__ = ("_fn", "_raw", "_best", "_value", "_decreasing")
@@ -76,28 +81,40 @@ class UpperReal:
         while len(best) <= effort:
             e = len(best)
             raw = self._raw_bound(e)
-            best.append(raw if e == 0 else min(best[-1], raw))
+            if e:
+                # min(prev, raw): raw replaces prev only when strictly below
+                prev = best[-1]
+                if raw.numerator * prev.denominator >= prev.numerator * raw.denominator:
+                    raw = prev
+            best.append(raw)
         return best[effort]
 
     def less_than(self, q: Fraction, effort: int) -> Query:
         """Semi-decide "value < q" for positive rational q.
 
         Yes iff some raw bound at effort k <= effort is below q, which is
-        the same predicate as ``bound(effort) < q``.
+        the same predicate as ``bound(effort) < q``.  ``q`` is read by
+        ``parse_rational``, so a float or a bool raises ``ValueError``.
         """
-        if q <= 0:
+        q = parse_rational(q)
+        qn, qd = q.numerator, q.denominator
+        if qn <= 0:
             raise ValueError("threshold must be a positive rational")
         if not self._decreasing:
             for k in range(effort, len(self._best) - 1, -1):
-                if self._raw_bound(k) < q:
+                raw = self._raw_bound(k)
+                if raw.numerator * qd < qn * raw.denominator:
                     return Query.YES
-        return Query.YES if self.bound(effort) < q else Query.NOT_YET
+        b = self.bound(effort)
+        return Query.YES if b.numerator * qd < qn * b.denominator else Query.NOT_YET
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def of_rational(q: Fraction) -> "UpperReal":
-        if q < 0:
+        """The constant upper real q, for q >= 0 read by ``parse_rational``."""
+        q = parse_rational(q)
+        if q.numerator < 0:
             raise ValueError("upper real of a negative rational")
         return UpperReal(lambda _e: q, q, decreasing=True)
 

@@ -27,6 +27,20 @@ def test_positive_radius_enforced():
         FormalBall(Fraction(0), Fraction(-1, 2))
 
 
+@pytest.mark.parametrize("radius", [0.5, 1.0, True, False, "1/2", None])
+def test_a_radius_that_is_no_int_or_fraction_is_named(radius):
+    """A float radius used to be kept, and its slack came out as a float."""
+    with pytest.raises(ValueError, match="must be an int or a Fraction, got " + repr(radius)):
+        FormalBall(Fraction(0), radius)
+
+
+def test_int_radii_are_kept_as_ints():
+    b = FormalBall(Fraction(0), 2)
+    assert type(b.radius) is int
+    with pytest.raises(ValueError, match="strictly positive"):
+        FormalBall(Fraction(0), 0)
+
+
 def test_diameter_single_ball():
     u = bo((0, Fraction(1, 2)))
     d = diameter_upper(u)

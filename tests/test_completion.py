@@ -96,6 +96,21 @@ def test_regularize_shrinks_and_is_idempotent():
     assert regularize(r) is r
 
 
+def test_regularize_drops_empty_generators():
+    empty = BallOpen(LINE, ())
+    f = FilterSeed((empty, bo((0, 1)), empty, bo((Fraction(1, 2), 1))))
+    r = regularize(f)
+    # the k-th kept generator shrinks by 2^-k * (min radius) / 4
+    assert r.generators == (bo((0, Fraction(3, 4))), bo((Fraction(1, 2), Fraction(7, 8))))
+    assert regularize(FilterSeed((empty,))).generators == ()
+
+
+def test_seed_member_query_skips_empty_generators():
+    f = FilterSeed((BallOpen(LINE, ()), bo((0, 1))))
+    assert seed_member_query(f, bo((0, 2)), 0).is_yes
+    assert not seed_member_query(FilterSeed((BallOpen(LINE, ()),)), bo((0, 2)), 0).is_yes
+
+
 def test_regularize_rejects_disjoint_generators():
     f = FilterSeed((bo((0, 1)), bo((10, 1))))
     with pytest.raises(CertificateError) as exc:

@@ -90,3 +90,25 @@ def test_query_labels():
     assert Query.YES.label == "Yes"
     assert Query.NOT_YET.label == "NotYet"
     assert Query.YES.is_yes and not Query.NOT_YET.is_yes
+
+
+@pytest.mark.parametrize("q", [0.5, True, 1.0, None, [1]])
+def test_upper_reals_read_rationals_at_the_boundary(q):
+    """A float or a bool is not silently taken for a rational threshold."""
+    with pytest.raises(ValueError, match="not a rational"):
+        UpperReal.of_rational(q)
+    with pytest.raises(ValueError, match="not a rational"):
+        UpperReal.of_rational(Fraction(1)).less_than(q, 0)
+
+
+def test_upper_reals_read_ints_and_rational_strings():
+    assert repr(UpperReal.of_rational(2).bound(3)) == "Fraction(2, 1)"
+    assert UpperReal.of_rational("1/2").less_than("2/3", 0) is Query.YES
+    with pytest.raises(ValueError, match="negative"):
+        UpperReal.of_rational("-1/2")
+
+
+def test_upper_real_repr_reads_the_effort_zero_bound():
+    u = UpperReal(lambda e: Fraction(1, 3) + half_pow(e))
+    assert repr(u) == "UpperReal(bound0=Fraction(4, 3))"
+    assert repr(UpperReal.of_rational(0)) == "UpperReal(bound0=Fraction(0, 1))"
