@@ -14,7 +14,6 @@ from formalballs import (
     BallOpen,
     FormalBall,
     MMInstance,
-    PairProp,
     check_axiom,
     holds,
     member_query,
@@ -34,7 +33,7 @@ def bo(*pairs):
 
 half = line_map(Fraction(1, 2), 0, label="x/2")
 print("does x/2 map b(0,1) into b(0,2)?")
-print(f"  {holds(PairProp(bo((0, 1)), bo((0, 2))), half, 8).label}")
+print(f"  {holds(bo((0, 1)), bo((0, 2)), half, 8).label}")
 
 print("\naxiom instances get Pass / Inconclusive / Fail verdicts:")
 inst = MMInstance("MM3", {"u": bo((0, 1)), "q": Fraction(1, 4)})

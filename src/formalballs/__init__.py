@@ -60,7 +60,6 @@ from .maps import (
 )
 from .function_locale import (
     MMInstance,
-    PairProp,
     check_axiom,
     holds,
     round_trip,

@@ -118,8 +118,22 @@ def finite_space(n: int, table) -> MetricCarrier:
 
 
 def finite_space_from_json(payload) -> MetricCarrier:
-    """Ingest {"n": int, "d": [[..]]} with entries as "p/q" strings or numbers."""
-    return finite_space(parse_int(payload["n"]), payload["d"])
+    """Ingest {"n": int, "d": [[..]]} with entries as "p/q" strings or numbers.
+
+    ``d`` must be an n-by-n JSON array.  A missing ``n``, or a ``d`` or a
+    row ``d[i]`` of another shape, raises ``ValueError`` naming the field.
+    """
+    if "n" not in payload:
+        raise ValueError("carrier.n is missing")
+    n, table = parse_int(payload["n"]), payload.get("d")
+    if n < 1:
+        raise ValueError("finite space needs at least one point")
+    if not isinstance(table, list) or len(table) != n:
+        raise ValueError(f"carrier.d must be a JSON array of {n} rows")
+    for i, row in enumerate(table):
+        if not isinstance(row, list) or len(row) != n:
+            raise ValueError(f"carrier.d[{i}] must be a JSON array of {n} entries")
+    return finite_space(n, table)
 
 
 def product_space(left: MetricCarrier, right: MetricCarrier) -> MetricCarrier:

@@ -1,9 +1,11 @@
-"""The presented locale of maps: pair propositions and axiom checks.
+"""The presented locale of maps: basic propositions and axiom checks.
 
-Basic propositions pair a source ball open with a target ball open; a map
-satisfies one as soon as some source center provably maps into the target
-open.  The six presentation axioms are checked on concrete instances; a
-Pass witness is built from an exact margin, and not queried again where a
+A basic proposition (u, v) pairs a source ball open u with a target ball
+open v; a map satisfies it as soon as some source center provably maps
+into v.  The six presentation axioms are checked on concrete instances.
+Each axiom's premises are basic propositions, listed in ``MM_PREMISES``
+and asked by ``check_axiom`` before the axiom's checker runs.  A Pass
+witness is built from an exact margin, and not queried again where a
 lemma in the checker's docstring shows it meets the conclusion.  Pass and
 Fail are definitive; Inconclusive means a premise, an effort budget or a
 stage search failed, never that the axiom is refuted.
@@ -38,23 +40,25 @@ MM_PARTS = {
 }
 RATIONAL_PARTS = ("q", "q1", "q2")
 TARGET_PARTS = ("v_small", "v", "v1", "v2", "v1p", "v2p", "vp")
+# the premises of each axiom as (source part, target part) propositions, in
+# the order ``check_axiom`` asks them
+MM_PREMISES = {
+    "MM1": (("u_small", "v_small"),),
+    "MM2": (("u", "v"),),
+    "MM3": (),
+    "MM4": (("u", "v"),),
+    "MM5": (("w1", "v1p"), ("w2", "v2p")),
+    "MM6": (("u", "v"), ("u", "vp")),
+}
 
 
-@dataclass(frozen=True)
-class PairProp:
-    """A basic proposition: source open u paired with target open v."""
-
-    u: BallOpen
-    v: BallOpen
-
-
-def holds(pp: PairProp, f: MapRep, effort: int) -> Query:
-    """Semi-decide the proposition against the map.
+def holds(u: BallOpen, v: BallOpen, f: MapRep, effort: int) -> Query:
+    """Semi-decide the basic proposition (u, v) against the map.
 
     Yes iff the image of some center of u is provably a member of v at
     this effort; sound for positivity of the pulled-back overlap.
     """
-    if _holds_witness(pp.u, pp.v, f, effort) is None:
+    if _holds_witness(u, v, f, effort) is None:
         return Query.NOT_YET
     return Query.YES
 
@@ -126,58 +130,54 @@ def validate_instance(inst: MMInstance, f: MapRep) -> None:
             raise ValueError("MM5: tau not contained in both w1 and w2")
 
 
-def _result(axiom, result, effort, **extra):
-    out = {"axiom": axiom, "result": result, "effort": effort}
-    out.update(extra)
-    return out
-
-
 def check_axiom(inst: MMInstance, f: MapRep, effort: int) -> dict:
     """Check one axiom instance against the map within the effort budget.
 
-    Pass: premises established and a conclusion witness constructed.
-    Fail: certified counterexample (only MM6 can produce one, and never
-    does for a genuine metric map).  Inconclusive: a premise, an effort
-    budget or a stage search failed.  A part over the wrong carrier raises.
+    The premises in ``MM_PREMISES`` are asked in order; the first that does
+    not hold ends the check Inconclusive ("premise not established").
+    Otherwise the axiom's checker gets their ``_holds_witness`` witnesses
+    (ball of the source part, image of its center), in that order, and gives
+    the result and the report's further fields.  Pass: a conclusion witness
+    constructed.  Fail: certified counterexample (only MM6 can produce one,
+    and never does for a genuine metric map).  Inconclusive: a premise, an
+    effort budget or a stage search failed.  A part over the wrong carrier
+    raises.
     """
     validate_instance(inst, f)
-    checker = {
-        "MM1": _check_mm1,
-        "MM2": _check_mm2,
-        "MM3": _check_mm3,
-        "MM4": _check_mm4,
-        "MM5": _check_mm5,
-        "MM6": _check_mm6,
-    }[inst.axiom]
-    return checker(inst.data, f, effort)
+    d = inst.data
+    witnesses = []
+    for u, v in MM_PREMISES[inst.axiom]:
+        wit = _holds_witness(d[u], d[v], f, effort)
+        if wit is None:
+            result, extra = INCONCLUSIVE, {"reason": "premise not established"}
+            break
+        witnesses.append(wit)
+    else:
+        result, extra = _CHECKERS[inst.axiom](d, f, effort, witnesses)
+    return {"axiom": inst.axiom, "result": result, "effort": effort, **extra}
 
 
-def _check_mm1(d, f, effort):
-    """Pass once (u_small, v_small) holds.  Lemma: u_small lies in u, so the
-    premise's center does; its stage ball b(x_n, 2^-n) is inside some b(c, r)
-    of v_small, v_small lies in v, and by the triangle inequality the same
-    stage ball is inside the b(c', r') of v with d(c, c') + r <= r'."""
-    if _holds_witness(d["u_small"], d["v_small"], f, effort) is None:
-        return _result("MM1", INCONCLUSIVE, effort, reason="premise not established")
-    return _result("MM1", PASS, effort)
+def _check_mm1(d, f, effort, witnesses):
+    """Pass.  Lemma: u_small lies in u, so the premise's center does; its
+    stage ball b(x_n, 2^-n) is inside some b(c, r) of v_small, v_small lies
+    in v, and by the triangle inequality the same stage ball is inside the
+    b(c', r') of v with d(c, c') + r <= r'."""
+    return PASS, {}
 
 
-def _check_mm2(d, f, effort):
+def _check_mm2(d, f, effort, witnesses):
     """Witness b(x, min(r, q/4)) for the premise's ball b(x, r).  Lemma: its
     diameter is at most q/2 < q, and (witness, v) holds, for it images the
     premise's own center and asks the same membership query."""
     q = parse_rational(d["q"])
-    wit = _holds_witness(d["u"], d["v"], f, effort)
-    if wit is None:
-        return _result("MM2", INCONCLUSIVE, effort, reason="premise not established")
-    b, _image = wit
+    b, _image = witnesses[0]
     small = BallOpen.of(
         d["u"].carrier, FormalBall(b.center, min(b.radius, q / 4))
     )
-    return _result("MM2", PASS, effort, witness=small.to_json())
+    return PASS, {"witness": small.to_json()}
 
 
-def _check_mm3(d, f, effort):
+def _check_mm3(d, f, effort, witnesses):
     """Witness b(x_m, q/4), x the image of u's first center, m least with
     2^-m < q/16.  Lemma: its diameter is q/2 < q; (u, witness) holds at
     effort max(effort, m + 2), whose stage m (any stage of a constant x) is
@@ -185,41 +185,33 @@ def _check_mm3(d, f, effort):
     q = parse_rational(d["q"])
     m = stage_below(q / 16)
     if m > max(effort, 64):
-        return _result("MM3", INCONCLUSIVE, effort, reason="effort budget exhausted")
+        return INCONCLUSIVE, {"reason": "effort budget exhausted"}
     x = d["u"].balls[0].center
     image = apply_map(f, point_of_carrier(f.source, x))
     v = BallOpen.of(f.target, FormalBall(image.approx(m), q / 4))
-    return _result("MM3", PASS, effort, witness=v.to_json())
+    return PASS, {"witness": v.to_json()}
 
 
-def _check_mm4(d, f, effort):
+def _check_mm4(d, f, effort, witnesses):
     """Witness b(z, 2^-n + margin/2), z the deepest stage n <= min(effort, 24)
     of the premise's image in v.  Lemma: for the b(c, r) of v behind margin,
     d(z, c) + 2^-n + 3 margin/4 = r - margin/4, so it is way inside v by
     margin/4; and (u, witness) holds, for stage n <= effort of the image is z."""
-    wit = _holds_witness(d["u"], d["v"], f, effort)
-    if wit is None:
-        return _result("MM4", INCONCLUSIVE, effort, reason="premise not established")
-    _b, image = wit
+    _b, image = witnesses[0]
     deepest = deepest_stage(image, d["v"], min(effort, 24))
     if deepest is None:
-        return _result("MM4", INCONCLUSIVE, effort, reason="no interior stage found")
+        return INCONCLUSIVE, {"reason": "no interior stage found"}
     margin, n = deepest
     z = image.approx(n)
     inner = BallOpen.of(d["v"].carrier, FormalBall(z, half_pow(n) + margin / 2))
-    return _result("MM4", PASS, effort, witness=inner.to_json())
+    return PASS, {"witness": inner.to_json()}
 
 
-def _check_mm5(d, f, effort):
+def _check_mm5(d, f, effort, witnesses):
     """Witness b(c, rho), c a stage m of the image of a center of tau and rho
     half its smaller slack in v1 and v2, so it lies in both.  (tau, witness)
     is still queried: it reads stages up to max(effort, n + 2), 2^-n < rho/4,
     and m may exceed that, so the answer rests on the map's stages."""
-    for i in ("1", "2"):
-        if not holds(PairProp(d["w" + i], d["v" + i + "p"]), f, effort).is_yes:
-            return _result(
-                "MM5", INCONCLUSIVE, effort, reason="premise not established"
-            )
     for b in d["tau"].balls:
         image = apply_map(f, point_of_carrier(f.source, b.center))
         for m in (8, 16, 32, 64):
@@ -232,45 +224,38 @@ def _check_mm5(d, f, effort):
         rho = min(slacks) / 2
         v = BallOpen.of(d["v1"].carrier, FormalBall(c, rho))
         n = stage_below(rho / 4)
-        if holds(PairProp(d["tau"], v), f, max(effort, n + 2)).is_yes:
-            return _result("MM5", PASS, effort, witness=v.to_json())
-    return _result("MM5", INCONCLUSIVE, effort, reason="conclusion search exhausted")
+        if holds(d["tau"], v, f, max(effort, n + 2)).is_yes:
+            return PASS, {"witness": v.to_json()}
+    return INCONCLUSIVE, {"reason": "conclusion search exhausted"}
 
 
-def _check_mm6(d, f, effort):
+def _check_mm6(d, f, effort, witnesses):
     """Pass certifies delta(v join vp) <= delta(u) + delta(v) + delta(vp) for
     the formal diameter (``balls.diameter``), an upper bound on the denoted
     one.  Fail needs a pair of centers at exact distance above that sum,
     which refutes the inequality for the denoted diameters too."""
-    for key in ("v", "vp"):
-        if not holds(PairProp(d["u"], d[key]), f, effort).is_yes:
-            return _result(
-                "MM6", INCONCLUSIVE, effort, reason="premise not established"
-            )
     carrier = d["v"].carrier
     join = BallOpen(carrier, d["v"].balls + d["vp"].balls)
     lhs = diameter(join)
     rhs = sum((diameter(d[k]) for k in ("u", "v", "vp")), Fraction(0))
     if lhs <= rhs:
-        return _result(
-            "MM6", PASS, effort,
-            bound={"lhs": rational_str(lhs), "rhs": rational_str(rhs)},
-        )
+        return PASS, {"bound": {"lhs": rational_str(lhs), "rhs": rational_str(rhs)}}
     # certified refutation needs a center pair provably farther than rhs
     centers = [b.center for b in join.balls]
     for i, a in enumerate(centers):
         for b in centers[i + 1 :]:
             d_ab = carrier.dist(a, b)
             if d_ab > rhs:
-                return _result(
-                    "MM6", FAIL, effort,
-                    witness={
-                        "pair": [repr(a), repr(b)],
-                        "distance_lower": rational_str(d_ab),
-                        "rhs_upper": rational_str(rhs),
-                    },
-                )
-    return _result("MM6", INCONCLUSIVE, effort, reason="bounds too loose to decide")
+                return FAIL, {"witness": {
+                    "pair": [repr(a), repr(b)],
+                    "distance_lower": rational_str(d_ab),
+                    "rhs_upper": rational_str(rhs),
+                }}
+    return INCONCLUSIVE, {"reason": "bounds too loose to decide"}
+
+
+_CHECKERS = {"MM1": _check_mm1, "MM2": _check_mm2, "MM3": _check_mm3,
+             "MM4": _check_mm4, "MM5": _check_mm5, "MM6": _check_mm6}
 
 
 # -- reconstruction of the source-side trace of a point --------------------

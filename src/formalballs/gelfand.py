@@ -68,7 +68,7 @@ def _check_ranges(b: BasicOpenXR, space: FiniteDiscreteSpace):
     for s, _q in b.lowers + b.uppers:
         for x in s:
             if not (isinstance(x, int) and 0 <= x < space.n):
-                raise IndexError(f"point {x!r} outside the {space.n}-point space")
+                raise ValueError(f"point {x!r} outside the {space.n}-point space")
 
 
 def is_admissible(b: BasicOpenXR, space: FiniteDiscreteSpace) -> bool:
@@ -247,19 +247,18 @@ class Character:
     def n(self):
         return len(self.values)
 
-    def apply(self, a: AlgebraElement, bound: int = None) -> ComplexPoint:
+    def apply(self, a: AlgebraElement) -> ComplexPoint:
         """The sum of chi(e_i) * a_i, one ``dot_c`` over the two value tuples.
 
         On constant values, the only kind ``spec`` builds, ``dot_c`` folds
         the sum in integers: the loop of ``mul_c``/``add_c`` it replaces
         would fold every step to the same exact rational, so the point is
-        equal and no stage is read.  With ``bound=None``, the only bound
-        ``spec`` passes, each term's default bound exceeds its coordinates
-        by more than 1, so the fold runs no certification that could fail,
-        and it skips each term where chi(e_i) is 0.  An element of another
-        length raises ``ValueError``.
+        equal and no stage is read.  Each term's default bound exceeds its
+        coordinates by more than 1, so the fold runs no certification that
+        could fail, and it skips each term where chi(e_i) is 0.  An element
+        of another length raises ``ValueError``.
         """
-        return dot_c(self.values, a.values, bound)
+        return dot_c(self.values, a.values)
 
 
 def spectrum_of_cn(n: int):

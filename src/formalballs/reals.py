@@ -33,18 +33,18 @@ pairs, and the sum is normalised into a ``Fraction`` once.  The folded loop
 of ``mul_c``/``add_c`` would reach the same exact rational one normalised
 step at a time, and equal rationals are equal ``Fraction``s, so the answer
 and every error are unchanged.  A product of two constant complex points
-(``mul_c``) is the same fold over one term.  With an explicit bound, each
+(``mul_c``) is the same fold over one term, under ``mul_c``'s bound: the
 term is bounded and certified by the same integer rule as a constant factor
-of ``mul_r``.  Under the default bound the certification cannot fail, so it
-is not run: the default bound of a term is b = max(1, floor|c|) + 2 over
-its four coordinates c, so each has |c| < floor|c| + 1 <= b - 1, and
-|c| + 2^-16 <= b holds.  So under the default bound a term whose two x
-coordinates are 0 is skipped before its y coordinates are read: each of its
-four products is 0, so it adds nothing, and it has no certification to run.
-With an explicit bound such a term is still certified, y included.  A sum of
-constant complex points (``sum_c``) is folded the same way, as one sum of
-numerator/denominator pairs, which is the value the ``add_c`` chain from 0
-reaches one step at a time.
+of ``mul_r``.  ``dot_c`` bounds each term by its default bound instead,
+under which the certification cannot fail, so it is not run: the default
+bound of a term is b = max(1, floor|c|) + 2 over its four coordinates c,
+so each has |c| < floor|c| + 1 <= b - 1, and |c| + 2^-16 <= b holds.  So
+``dot_c`` skips a term whose two x coordinates are 0 before its y
+coordinates are read: each of its four products is 0, so it adds nothing,
+and it has no certification to run.  ``mul_c`` still certifies such a
+term, y included.  A sum of constant complex points (``sum_c``) is folded
+the same way, as one sum of numerator/denominator pairs, which is the
+value the ``add_c`` chain from 0 reaches one step at a time.
 
 Every stage is a ``Fraction`` (or an int), but the hot readouts compute on
 its numerator and denominator: the bound checks of ``_certify_bound`` and
@@ -247,7 +247,7 @@ def mul_c(a: ComplexPoint, b: ComplexPoint, bound: int) -> ComplexPoint:
     ``mul_r``/``sub_r``/``add_r`` steps, with their errors in their order,
     the bound check first, then "could not certify |value| <= bound".  Int
     coordinates give ints, as those steps do.  A ``None`` bound raises
-    ``TypeError`` on every path; only ``dot_c`` reads it as the default.
+    ``TypeError`` on every path; the default bound is ``dot_c``'s alone.
     """
     if bound is None:
         raise TypeError("mul_c needs an int bound, got None")
@@ -282,13 +282,14 @@ def _add_pair(n1: int, d1: int, n2: int, d2: int):
 def _dot_values(terms, bound):
     """Exact (re, im) of the sum of x * y over constant terms (xr, xi, yr, yi).
 
-    With an int ``bound``, each term is bounded and certified as ``mul_c``
-    would: ``ValueError`` if ``bound < 1``, then ``BoundViolation`` unless
-    every coordinate passes ``_fits``.  With ``bound=None`` each term's
-    bound is the one ``coord_bound`` reads off its constant stages, under
-    which ``_fits`` cannot fail (the lemma in the module docstring), so
-    nothing is checked, and a term with x = 0 is skipped.  The products are
-    summed as unnormalised integer pairs and normalised once, at the end.
+    With an int ``bound`` (``mul_c``'s), each term is bounded and certified
+    as ``mul_r`` would: ``ValueError`` if ``bound < 1``, then
+    ``BoundViolation`` unless every coordinate passes ``_fits``.  With
+    ``bound=None`` (``dot_c``'s) each term's bound is the one ``coord_bound``
+    reads off its constant stages, under which ``_fits`` cannot fail (the
+    lemma in the module docstring), so nothing is checked, and a term with
+    x = 0 is skipped.  The products are summed as unnormalised integer
+    pairs and normalised once, at the end.
     """
     rn = imn = 0
     rd = imd = 1
@@ -316,19 +317,16 @@ def _dot_values(terms, bound):
     return Fraction(rn, rd), Fraction(imn, imd)
 
 
-def dot_c(xs, ys, bound: int = None) -> ComplexPoint:
+def dot_c(xs, ys) -> ComplexPoint:
     """Sum of x_i * y_i over the pairs of two sequences of complex points.
 
-    Each product is a ``mul_c`` with factor bound ``bound``, or with
-    ``coord_bound(x_i, y_i)`` when ``bound`` is None, added onto a running
-    ``add_c`` sum from 0.  When every coordinate of every term is constant,
-    the sum is folded in integers instead (see the module docstring) and
-    returned as one constant point.  The errors are the loop's: the bound
-    check comes before any certification, and a certification failure
-    raises the message ``mul_r`` would, naming the term's bound.  Under the
-    default bound the fold certifies nothing, because no certification of
-    a constant term can fail there.  Sequences of unequal lengths raise
-    ``ValueError`` before any stage is read.
+    Each product is a ``mul_c`` with factor bound ``coord_bound(x_i, y_i)``,
+    added onto a running ``add_c`` sum from 0.  When every coordinate of
+    every term is constant, the sum is folded in integers instead (see the
+    module docstring) and returned as one constant point; the fold
+    certifies nothing, because no certification of a constant term can fail
+    under that bound.  Sequences of unequal lengths raise ``ValueError``
+    before any stage is read.
     """
     if len(xs) != len(ys):
         raise ValueError(f"dot product of sequences of lengths {len(xs)} and {len(ys)}")
@@ -340,12 +338,11 @@ def dot_c(xs, ys, bound: int = None) -> ComplexPoint:
             break
         terms.append((xr, xi, yr, yi))
     else:
-        re, im = _dot_values(terms, bound)
+        re, im = _dot_values(terms, None)
         return ComplexPoint(_constant(re), _constant(im))
     acc = complex_of_rational(0)
     for x, y in zip(xs, ys):
-        b = bound if bound is not None else coord_bound(x, y)
-        acc = add_c(acc, mul_c(x, y, b))
+        acc = add_c(acc, mul_c(x, y, coord_bound(x, y)))
     return acc
 
 

@@ -53,12 +53,11 @@ def twin(q, log=None, tag=None) -> RealPoint:
     return RealPoint(CompletionPoint(LINE, stage))
 
 
-def loop_apply(chi: Character, a: AlgebraElement, bound=None) -> ComplexPoint:
+def loop_apply(chi: Character, a: AlgebraElement) -> ComplexPoint:
     """``Character.apply`` as written before the fold."""
     acc = complex_of_rational(0)
     for chi_e, coord in zip(chi.values, a.values):
-        b = bound if bound is not None else coord_bound(chi_e, coord)
-        acc = add_c(acc, mul_c(chi_e, coord, b))
+        acc = add_c(acc, mul_c(chi_e, coord, coord_bound(chi_e, coord)))
     return acc
 
 
@@ -79,23 +78,10 @@ stage_lists = st.lists(st.integers(0, 40), min_size=1, max_size=3)
 
 @st.composite
 def dot_cases(draw):
-    """Character values, element coordinates and a bound (None, or -1..9).
-
-    With an explicit bound, some coordinates are ±(bound - k/2^18) for
-    k = 0..8: a constant c certifies iff |c| + 2^-16 <= bound, so these sit
-    within 2^-18 of both sides of the rule.
-    """
+    """Character values and element coordinates of one length, 1..4."""
     n = draw(st.integers(1, 4))
-    bound = draw(st.none() | st.integers(-1, 9))
-    value = rationals
-    if bound is not None:
-        edge = st.builds(
-            lambda k, sign: sign * (bound - Fraction(k, 2 ** 18)),
-            st.integers(0, 8), st.sampled_from([1, -1]),
-        )
-        value = st.one_of(rationals, edge)
-    pairs = st.lists(st.tuples(value, value), min_size=n, max_size=n)
-    return draw(pairs), draw(pairs), bound
+    pairs = st.lists(st.tuples(rationals, rationals), min_size=n, max_size=n)
+    return draw(pairs), draw(pairs)
 
 
 def character_of(pairs, make):
@@ -108,21 +94,18 @@ def element_of(pairs, make):
 
 @settings(max_examples=200, deadline=None)
 @given(dot_cases(), stage_lists)
-@example(([(1, 0)], [(Fraction(3) - Fraction(1, 2 ** 16), 0)], 3), [0])  # certifies
-@example(([(1, 0)], [(Fraction(3) - Fraction(1, 2 ** 17), 0)], 3), [0])  # does not
-@example(([(1, 0), (5, 0)], [(1, 0), (1, 0)], 0), [0])  # the bound check comes first
-@example(([(Fraction(1, 3), Fraction(-2, 7))], [(Fraction(5, 6), 9)], None), [0, 9])
+@example(([(Fraction(1, 3), Fraction(-2, 7))], [(Fraction(5, 6), 9)]), [0, 9])
 def test_apply_folds_as_the_loop_on_unflagged_twins(case, ns):
-    chi_pairs, a_pairs, bound = case
+    chi_pairs, a_pairs = case
     chi, a = character_of(chi_pairs, constant), element_of(a_pairs, constant)
-    folded = outcome(lambda: chi.apply(a, bound), ns)
+    folded = outcome(lambda: chi.apply(a), ns)
     twins = outcome(
-        lambda: character_of(chi_pairs, twin).apply(element_of(a_pairs, twin), bound), ns)
+        lambda: character_of(chi_pairs, twin).apply(element_of(a_pairs, twin)), ns)
     assert folded == twins
-    assert folded == outcome(lambda: loop_apply(chi, a, bound), ns)
+    assert folded == outcome(lambda: loop_apply(chi, a), ns)
     if folded[0] == "ok":
         chi, a = character_of(chi_pairs, constant), element_of(a_pairs, constant)
-        z = chi.apply(a, bound)
+        z = chi.apply(a)
         assert z.re.underlying._value is not None and z.im.underlying._value is not None
         # folding reads the value slots, never a stage of an input
         for p in chi.values + a.values:
@@ -132,7 +115,7 @@ def test_apply_folds_as_the_loop_on_unflagged_twins(case, ns):
 @settings(max_examples=150, deadline=None)
 @given(dot_cases(), st.data(), stage_lists)
 def test_mixed_inputs_take_the_loop_and_read_the_same_stages(case, data, ns):
-    chi_pairs, a_pairs, bound = case
+    chi_pairs, a_pairs = case
     flags = data.draw(st.lists(st.booleans(), min_size=4 * len(a_pairs),
                                max_size=4 * len(a_pairs)))
 
@@ -146,16 +129,16 @@ def test_mixed_inputs_take_the_loop_and_read_the_same_stages(case, data, ns):
         return character_of(chi_pairs, make), element_of(a_pairs, make)
 
     new_log, old_log = [], []
-    new = outcome(lambda: Character.apply(*build(new_log), bound), ns)
-    old = outcome(lambda: loop_apply(*build(old_log), bound), ns)
+    new = outcome(lambda: Character.apply(*build(new_log)), ns)
+    old = outcome(lambda: loop_apply(*build(old_log)), ns)
     assert new == old
     assert new_log == old_log
 
 
 @settings(max_examples=40, deadline=None)
-@given(dot_cases())
-def test_verify_character_answers_as_on_unflagged_twins(case):
-    chi_pairs, a_pairs, bound = case
+@given(dot_cases(), st.integers(-1, 13))
+def test_verify_character_answers_as_on_unflagged_twins(case, bound):
+    chi_pairs, a_pairs = case
     b_pairs = [(im, re) for re, im in a_pairs]
 
     def report(make):
@@ -163,7 +146,7 @@ def test_verify_character_answers_as_on_unflagged_twins(case):
         samples = [(element_of(a_pairs, make), element_of(b_pairs, make))]
         try:
             # alg_mul's bound; 13 covers every coordinate of ``rationals``
-            return verify_character(chi, samples, bound=13 if bound is None else bound, k=8)
+            return verify_character(chi, samples, bound=bound, k=8)
         except (BoundViolation, ValueError) as exc:
             return type(exc).__name__, str(exc)
 
@@ -262,13 +245,10 @@ def test_zero_terms_skipped_under_the_default_bound_equal_the_twin_loop(case, ns
 
 @pytest.mark.parametrize("make", [constant, twin])
 def test_a_zero_term_is_still_certified_under_an_explicit_bound(make):
-    # x = 0 adds nothing, but its y = 5 escapes the bound 2
-    chi = character_of([(1, 0), (0, 0)], make)
-    a = element_of([(1, 0), (5, 0)], make)
+    # mul_c's one term: x = 0 adds nothing, but its y = 5 escapes the bound 2
+    x, y = ComplexPoint(make(0), make(0)), ComplexPoint(make(5), make(0))
     with pytest.raises(BoundViolation, match=r"^could not certify \|value\| <= 2$"):
-        chi.apply(a, 2).approx(0)
-    with pytest.raises(BoundViolation, match=r"^could not certify \|value\| <= 2$"):
-        dot_c(chi.values[1:], a.values[1:], 2).approx(0)
+        mul_c(x, y, 2).approx(0)
 
 
 def test_real_of_rational_still_rejects_a_bool():

@@ -359,6 +359,23 @@ def test_carrier_objects_are_read_by_their_type(capsys):
     assert (code, payload) == (2, {"error": "carrier must be a JSON object"})
 
 
+@pytest.mark.parametrize("carrier, message", [
+    (dict(TWO_POINTS, d=None), "carrier.d must be a JSON array of 2 rows"),
+    (dict(TWO_POINTS, d={"0": ["0", "1"], "1": ["1", "0"]}),
+     "carrier.d must be a JSON array of 2 rows"),
+    (dict(TWO_POINTS, d=[["0", "1"], ["1", "0"], ["2", "2"]]),
+     "carrier.d must be a JSON array of 2 rows"),
+    (dict(TWO_POINTS, d=[["0", "1"], ["1"]]), "carrier.d[1] must be a JSON array of 2 entries"),
+    (dict(TWO_POINTS, d=[["0", "1", "9"], ["1", "0"]]),
+     "carrier.d[0] must be a JSON array of 2 entries"),
+    (dict(TWO_POINTS, d=["01", "10"]), "carrier.d[0] must be a JSON array of 2 entries"),
+    ({"type": "finite", "d": [["0"]]}, "carrier.n is missing"),
+], ids=["d null", "d object", "extra row", "short row", "long row", "string rows", "no n"])
+def test_a_finite_carrier_table_of_the_wrong_shape_is_named(capsys, carrier, message):
+    payload = {"check": "member", "carrier": carrier, "u": [{"c": 0, "r": "2"}], "point": 1}
+    assert run_cli(capsys, "ball-check", json.dumps(payload)) == (2, {"error": message})
+
+
 def test_zero_denominator_error_names_the_text(capsys):
     for argv in (["real-eval", "1/0"], ["map-apply", "add(1/0)", "1"],
                  ["map-apply", "id", "1/0"]):

@@ -18,7 +18,6 @@ from formalballs.carriers import (
 from formalballs.completion import CompletionPoint, member_query, point_of_carrier
 from formalballs.function_locale import (
     MMInstance,
-    PairProp,
     check_axiom,
     holds,
     round_trip,
@@ -46,10 +45,10 @@ def bo(*pairs):
 
 def test_holds_examples():
     ident = identity_map(LINE)
-    assert holds(PairProp(bo((0, 1)), bo((0, 2))), ident, 8).is_yes
+    assert holds(bo((0, 1)), bo((0, 2)), ident, 8).is_yes
     shifted = line_map(1, 10)
-    assert not holds(PairProp(bo((0, 1)), bo((0, 2))), shifted, 64).is_yes
-    assert not holds(PairProp(bo((0, 1)), BallOpen(LINE, ())), ident, 64).is_yes
+    assert not holds(bo((0, 1)), bo((0, 2)), shifted, 64).is_yes
+    assert not holds(bo((0, 1)), BallOpen(LINE, ()), ident, 64).is_yes
 
 
 EMPTY_FINITE = BallOpen(finite_space(2, [[0, 1], [1, 0]]), ())
@@ -57,8 +56,8 @@ EMPTY_FINITE = BallOpen(finite_space(2, [[0, 1], [1, 0]]), ())
 
 @pytest.mark.parametrize("ask", [
     lambda: way_inside(EMPTY_FINITE, 1, bo((0, 1)), 8),
-    lambda: holds(PairProp(EMPTY_FINITE, bo((0, 1))), line_map(1, 0), 8),
-    lambda: holds(PairProp(bo((0, 1)), EMPTY_FINITE), line_map(1, 0), 8),
+    lambda: holds(EMPTY_FINITE, bo((0, 1)), line_map(1, 0), 8),
+    lambda: holds(bo((0, 1)), EMPTY_FINITE, line_map(1, 0), 8),
 ], ids=["way_inside", "holds source", "holds target"])
 def test_an_empty_open_over_another_carrier_is_rejected(ask):
     with pytest.raises(ValueError, match="carrier"):
@@ -67,10 +66,10 @@ def test_an_empty_open_over_another_carrier_is_rejected(ask):
 
 def test_holds_monotone_in_enlargement():
     half = line_map(Fraction(1, 2), 0)
-    small = PairProp(bo((1, Fraction(1, 2))), bo((Fraction(1, 2), Fraction(1, 4))))
-    big = PairProp(bo((1, 1)), bo((Fraction(1, 2), 1)))
-    assert holds(small, half, 16).is_yes
-    assert holds(big, half, 16).is_yes
+    small = (bo((1, Fraction(1, 2))), bo((Fraction(1, 2), Fraction(1, 4))))
+    big = (bo((1, 1)), bo((Fraction(1, 2), 1)))
+    assert holds(*small, half, 16).is_yes
+    assert holds(*big, half, 16).is_yes
 
 
 def test_validate_rejects_malformed():
@@ -251,6 +250,43 @@ def test_mm5_doubles_the_stage_until_it_fits():
     assert rep["witness"] == bo((0, Fraction(1, 100))).to_json()
     # two premise images, then tau's center: stage 8, one doubling, stage 16
     assert reads[2] == [8, 16]
+
+
+def test_the_premise_table_follows_the_part_schema():
+    assert function_locale.MM_PREMISES.keys() == function_locale.MM_PARTS.keys()
+    assert function_locale.MM_PREMISES["MM3"] == ()
+    for axiom, premises in function_locale.MM_PREMISES.items():
+        parts = function_locale.MM_PARTS[axiom]
+        for u, v in premises:
+            assert u in parts and v in parts, (axiom, u, v)
+            assert v in function_locale.TARGET_PARTS, (axiom, v)
+            assert u not in function_locale.TARGET_PARTS, (axiom, u)
+            assert u not in function_locale.RATIONAL_PARTS, (axiom, u)
+
+
+@pytest.mark.parametrize("axiom, parts", [
+    ("MM5", {
+        "w1": bo((0, Fraction(1, 4)), (Fraction(1, 8), Fraction(1, 8))),
+        "w2": bo((0, Fraction(1, 4))), "tau": bo((0, Fraction(1, 8))),
+        "q1": Fraction(1), "q2": Fraction(1),
+        "v1": bo((5, 3)), "v2": bo((0, 3)), "v1p": bo((5, 2)), "v2p": bo((0, 2)),
+    }),
+    ("MM6", {"u": bo(*MM6_U), "v": bo((5, Fraction(1, 4))), "vp": bo((0, 1))}),
+])
+def test_a_failing_first_premise_asks_nothing_more(axiom, parts):
+    # the second premise holds, and MM5's conclusion would image tau's center
+    imaged = []
+
+    def spy(f, p):
+        imaged.append(p.approx(0))
+        return apply_map(f, p)
+
+    with mock.patch.object(function_locale, "apply_map", spy):
+        rep = check_axiom(MMInstance(axiom, parts), identity_map(LINE), 16)
+    assert rep == {"axiom": axiom, "result": "Inconclusive", "effort": 16,
+                   "reason": "premise not established"}
+    first = parts["w1" if axiom == "MM5" else "u"]
+    assert imaged == [b.center for b in first.balls]
 
 
 def test_premise_not_established_is_inconclusive():

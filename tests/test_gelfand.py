@@ -62,7 +62,7 @@ def test_has_point_midpoint_rule():
 
 
 def test_out_of_range_rejected():
-    with pytest.raises(IndexError):
+    with pytest.raises(ValueError):
         is_admissible(BasicOpenXR.of([({5}, 0)], []), X2)
 
 

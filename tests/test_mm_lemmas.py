@@ -36,9 +36,7 @@ from formalballs.function_locale import (
     INCONCLUSIVE,
     PASS,
     MMInstance,
-    PairProp,
     _holds_witness,
-    _result,
     check_axiom,
     holds,
     validate_instance,
@@ -54,6 +52,11 @@ def bo(*pairs):
 
 
 # -- the checkers as they were, each asking its conclusion -----------------
+
+
+def _result(axiom, result, effort, **extra):
+    """A report as ``check_axiom`` stamps it: axiom, result, effort, extras."""
+    return {"axiom": axiom, "result": result, "effort": effort, **extra}
 
 
 def reference_mm1(d, f, effort):
@@ -77,7 +80,7 @@ def reference_mm2(d, f, effort):
     )
     if (
         diameter(small) < q
-        and holds(PairProp(small, d["v"]), f, effort).is_yes
+        and holds(small, d["v"], f, effort).is_yes
     ):
         return _result("MM2", PASS, effort, witness=small.to_json())
     return _result("MM2", INCONCLUSIVE, effort, reason="conclusion search exhausted")
@@ -94,7 +97,7 @@ def reference_mm3(d, f, effort):
     v = BallOpen.of(f.target, FormalBall(center, q / 4))
     if (
         diameter(v) < q
-        and holds(PairProp(d["u"], v), f, max(effort, m + 2)).is_yes
+        and holds(d["u"], v, f, max(effort, m + 2)).is_yes
     ):
         return _result("MM3", PASS, effort, witness=v.to_json())
     return _result("MM3", INCONCLUSIVE, effort, reason="conclusion search exhausted")
@@ -114,7 +117,7 @@ def reference_mm4(d, f, effort):
     k = stage_below(margin / 4)
     if (
         way_inside(inner, margin / 4, d["v"], effort).is_yes
-        and holds(PairProp(d["u"], inner), f, max(effort, k + 2)).is_yes
+        and holds(d["u"], inner, f, max(effort, k + 2)).is_yes
     ):
         return _result("MM4", PASS, effort, witness=inner.to_json())
     return _result("MM4", INCONCLUSIVE, effort, reason="conclusion search exhausted")
@@ -122,7 +125,7 @@ def reference_mm4(d, f, effort):
 
 def reference_mm5(d, f, effort):
     for i in ("1", "2"):
-        if not holds(PairProp(d["w" + i], d["v" + i + "p"]), f, effort).is_yes:
+        if not holds(d["w" + i], d["v" + i + "p"], f, effort).is_yes:
             return _result(
                 "MM5", INCONCLUSIVE, effort, reason="premise not established"
             )
@@ -141,7 +144,7 @@ def reference_mm5(d, f, effort):
         if (
             dominated(v, d["v1"], 0)
             and dominated(v, d["v2"], 0)
-            and holds(PairProp(d["tau"], v), f, max(effort, n + 2)).is_yes
+            and holds(d["tau"], v, f, max(effort, n + 2)).is_yes
         ):
             return _result("MM5", PASS, effort, witness=v.to_json())
     return _result("MM5", INCONCLUSIVE, effort, reason="conclusion search exhausted")

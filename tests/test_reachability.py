@@ -42,10 +42,7 @@ ALLOWED = {
     "upper.UpperReal.__repr__": "debugging aid",
 }
 
-_EXPLICIT_BOUND = "test_character_fold pins the error order of an explicit bound"
 FIXED = {
-    "gelfand.Character.apply.bound": _EXPLICIT_BOUND,
-    "reals.dot_c.bound": _EXPLICIT_BOUND,
     "lawsuite.enumerate_basic_opens.grid": "test_gelfand's n=3 case sets (-1, 0, 1)",
     "lawsuite.law_function_locale.effort": "set by the CLI's --effort",
     "lawsuite.law_function_locale.rt_effort": "acceptance criterion 6 sets it",

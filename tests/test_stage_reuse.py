@@ -23,7 +23,7 @@ from formalballs import function_locale
 from formalballs.balls import BallOpen, FormalBall
 from formalballs.carriers import finite_space, gaussian_rationals, rational_line
 from formalballs.completion import CompletionPoint, point_of_carrier
-from formalballs.function_locale import PairProp, holds, round_trip, tau_from_point
+from formalballs.function_locale import holds, round_trip, tau_from_point
 from formalballs.maps import MapRep, compose_maps, line_map, proj_map
 from formalballs.numbers import half_pow
 from formalballs.upper import UpperReal
@@ -98,8 +98,8 @@ def _source_element(source, x):
 
 def reference_tau(f, v, effort, grid=function_locale._grid_centers):
     """tau_from_point as its pair queries read: for every shrink level q,
-    then every grid center c, holds(PairProp(b(c, q/4), v shrunk by q), f,
-    min(effort, 24)), each imaging c afresh; a center already accepted at
+    then every grid center c, holds(b(c, q/4), v shrunk by q, f, min(effort,
+    24)), each imaging c afresh; a center already accepted at
     this level is skipped."""
     levels, span = function_locale._grid(effort)
     accepted = {}
@@ -111,7 +111,7 @@ def reference_tau(f, v, effort, grid=function_locale._grid_centers):
         for c in grid(f.source, v, q / 4, span):
             w = BallOpen.of(f.source, FormalBall(c, q / 4))
             if (c, q / 4) not in accepted and holds(
-                PairProp(w, v_inner), f, min(effort, 24)
+                w, v_inner, f, min(effort, 24)
             ).is_yes:
                 accepted[(c, q / 4)] = w.balls[0]
     return BallOpen(f.source, tuple(accepted.values()))
