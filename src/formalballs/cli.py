@@ -206,7 +206,11 @@ def _carrier_from_json(payload):
     unknown = sorted(set(payload) - _CARRIER_KEYS[kind])
     if unknown:
         raise ParseFailure(f"unknown keys for a {kind} carrier: {unknown}")
-    return LINE if kind == "line" else finite_space_from_json(payload)
+    if kind == "line":
+        return LINE
+    if "n" in payload and parse_int(payload["n"]) > FINITE_MAX_N:
+        raise ParseFailure(f"carrier.n must be at most {FINITE_MAX_N}")
+    return finite_space_from_json(payload)
 
 
 def _element(carrier, x):
@@ -231,9 +235,11 @@ def _open_from_json(carrier, balls, path: str) -> BallOpen:
 
 
 # Largest space sizes accepted: ``spec`` costs grow as n^3 (n = 32 takes about
-# 0.03 s), ``admissible`` prints one value per point (n = 10000 takes about 0.05 s).
+# 0.03 s), ``admissible`` prints one value per point (n = 10000 takes about 0.05 s),
+# and a finite carrier's triangle check is n^3 too (n = 64 takes about 0.03 s).
 ADMISSIBLE_MAX_N = 10_000
 SPEC_MAX_N = 32
+FINITE_MAX_N = 64
 
 
 def _space_size(payload, limit: int, command: str) -> int:

@@ -200,16 +200,17 @@ class FilterSeed:
     regular: bool = False
 
 
-def seed_member_query(f: FilterSeed, v: BallOpen, effort: int) -> Query:
+def seed_member_query(f: FilterSeed, v: BallOpen) -> Query:
     """Semi-decide v's membership in the generated filter.
 
-    Carrier distances are exact, so the answer does not depend on effort.
+    Carrier distances are exact, so no effort is needed (``way_inside``
+    ignores the 0 it is given).
     """
     for u in f.generators:
         if not u.balls:
             continue
         eps = min(b.radius for b in u.balls) / 4
-        if way_inside(u, eps, v, effort).is_yes:
+        if way_inside(u, eps, v, 0).is_yes:
             return Query.YES
     return Query.NOT_YET
 

@@ -88,9 +88,11 @@ class MMInstance:
     data: dict
 
 
-def validate_instance(inst: MMInstance, f: MapRep) -> None:
+def validate_instance(inst: MMInstance, f: MapRep) -> dict:
     """Reject malformed instances: missing parts, parts over another carrier
     than the map's, or failed side conditions, checked in that order.
+    Return the instance's parts, each rational part as the ``Fraction``
+    parsed here, so that no checker parses it again.
 
     The side conditions of MM1 and MM5 are exact decisions on the ball
     representation, in the distances of the carriers just checked;
@@ -104,10 +106,11 @@ def validate_instance(inst: MMInstance, f: MapRep) -> None:
     for key in need:
         if key not in inst.data:
             raise ValueError(f"{inst.axiom} instance missing part {key!r}")
-    d = inst.data
+    d = dict(inst.data)
     for key in need:
         if key in RATIONAL_PARTS:
-            if parse_rational(d[key]) <= 0:
+            d[key] = parse_rational(d[key])
+            if d[key] <= 0:
                 raise ValueError(f"{inst.axiom}: {key} must be positive")
         elif d[key].carrier.kind != (f.target if key in TARGET_PARTS else f.source).kind:
             raise ValueError(f"{inst.axiom}: part {key!r} has the wrong carrier")
@@ -121,13 +124,14 @@ def validate_instance(inst: MMInstance, f: MapRep) -> None:
             raise ValueError("MM1: v_small not contained in v")
     elif inst.axiom == "MM5":
         for i in ("1", "2"):
-            q = parse_rational(d["q" + i])
+            q = d["q" + i]
             if diameter(d["w" + i]) >= q:
                 raise ValueError(f"MM5: delta(w{i}) < q{i} not established")
             if not way_inside(d["v" + i + "p"], q, d["v" + i], 16).is_yes:
                 raise ValueError(f"MM5: v{i}p not way inside v{i} with margin q{i}")
         if not (dominated(d["tau"], d["w1"], 0) and dominated(d["tau"], d["w2"], 0)):
             raise ValueError("MM5: tau not contained in both w1 and w2")
+    return d
 
 
 def check_axiom(inst: MMInstance, f: MapRep, effort: int) -> dict:
@@ -143,8 +147,7 @@ def check_axiom(inst: MMInstance, f: MapRep, effort: int) -> dict:
     effort budget or a stage search failed.  A part over the wrong carrier
     raises.
     """
-    validate_instance(inst, f)
-    d = inst.data
+    d = validate_instance(inst, f)
     witnesses = []
     for u, v in MM_PREMISES[inst.axiom]:
         wit = _holds_witness(d[u], d[v], f, effort)
@@ -169,7 +172,7 @@ def _check_mm2(d, f, effort, witnesses):
     """Witness b(x, min(r, q/4)) for the premise's ball b(x, r).  Lemma: its
     diameter is at most q/2 < q, and (witness, v) holds, for it images the
     premise's own center and asks the same membership query."""
-    q = parse_rational(d["q"])
+    q = d["q"]
     b, _image = witnesses[0]
     small = BallOpen.of(
         d["u"].carrier, FormalBall(b.center, min(b.radius, q / 4))
@@ -182,7 +185,7 @@ def _check_mm3(d, f, effort, witnesses):
     2^-m < q/16.  Lemma: its diameter is q/2 < q; (u, witness) holds at
     effort max(effort, m + 2), whose stage m (any stage of a constant x) is
     the center, inside with radius <= 2^-m < q/4."""
-    q = parse_rational(d["q"])
+    q = d["q"]
     m = stage_below(q / 16)
     if m > max(effort, 64):
         return INCONCLUSIVE, {"reason": "effort budget exhausted"}

@@ -16,7 +16,6 @@ from typing import Callable, Optional
 from .numbers import half_pow, parse_rational, rational_str
 from .reals import (
     ComplexPoint,
-    _constant,
     add_c,
     complex_of_rational,
     conj_c,
@@ -25,7 +24,7 @@ from .reals import (
     modulus_c,
     modulus_interval,
     mul_c,
-    sum_c,
+    real_of_rational,
 )
 from .upper import UpperReal
 
@@ -183,12 +182,12 @@ def alg_star(a: AlgebraElement) -> AlgebraElement:
 def _zero_one():
     """The constant complex points 0 and 1, with ``Fraction`` coordinates.
 
-    Built without a parse or a ``contains`` check (``reals._constant``).
-    Every coordinate that holds 0 or 1 shares one call's point: each stage
-    of a constant point is its value, so no reader can tell them apart.
+    Built by ``real_of_rational``, with no ``contains`` check.  Every
+    coordinate that holds 0 or 1 shares one call's point: each stage of a
+    constant point is its value, so no reader can tell them apart.
     """
-    zero = _constant(Fraction(0))
-    return ComplexPoint(zero, zero), ComplexPoint(_constant(Fraction(1)), zero)
+    zero = real_of_rational(0)
+    return ComplexPoint(zero, zero), ComplexPoint(real_of_rational(1), zero)
 
 
 def unit(n: int) -> AlgebraElement:
@@ -317,7 +316,7 @@ def _check_character(chi: Character, elements, k: int) -> dict:
         if is1:
             one_count += 1
         values.append(z)
-    if not _close_to(sum_c(values), Fraction(1), k):
+    if not _close_to(dot_c(values, one.values), Fraction(1), k):
         failures.append({"law": "idempotent sum", "witness": "sum e_i"})
     if one_count != 1 and not failures:
         failures.append({"law": "projection count", "witness": str(one_count)})

@@ -276,9 +276,7 @@ def law_regularization(seed: int, count: int = 100) -> dict:
             LINE,
             FormalBall(Fraction(rng.randint(-16, 16), 2), Fraction(rng.randint(1, 8))),
         )
-        if seed_member_query(r, target, effort) != seed_member_query(
-            regularize(r, effort), target, effort
-        ):
+        if seed_member_query(r, target) != seed_member_query(regularize(r, effort), target):
             failures.append({"part": "member-equivalence", "index": idx})
     return _report("regularization", failures, count)
 

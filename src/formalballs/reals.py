@@ -32,19 +32,14 @@ in integers: the products are summed as unnormalised numerator/denominator
 pairs, and the sum is normalised into a ``Fraction`` once.  The folded loop
 of ``mul_c``/``add_c`` would reach the same exact rational one normalised
 step at a time, and equal rationals are equal ``Fraction``s, so the answer
-and every error are unchanged.  A product of two constant complex points
-(``mul_c``) is the same fold over one term, under ``mul_c``'s bound: the
-term is bounded and certified by the same integer rule as a constant factor
-of ``mul_r``.  ``dot_c`` bounds each term by its default bound instead,
-under which the certification cannot fail, so it is not run: the default
-bound of a term is b = max(1, floor|c|) + 2 over its four coordinates c,
-so each has |c| < floor|c| + 1 <= b - 1, and |c| + 2^-16 <= b holds.  So
-``dot_c`` skips a term whose two x coordinates are 0 before its y
-coordinates are read: each of its four products is 0, so it adds nothing,
-and it has no certification to run.  ``mul_c`` still certifies such a
-term, y included.  A sum of constant complex points (``sum_c``) is folded
-the same way, as one sum of numerator/denominator pairs, which is the
-value the ``add_c`` chain from 0 reaches one step at a time.
+and every error are unchanged.  That loop bounds each term by
+b = max(1, floor|c|) + 2 over its four coordinates c, so each has
+|c| < floor|c| + 1 <= b - 1 and |c| + 2^-16 <= b: no certification of a
+constant term can fail, and the fold runs none.  So a term whose two x
+coordinates are 0 is skipped before its y coordinates are read: each of
+its four products is 0.  A product of two constant complex points
+(``mul_c``) certifies its four coordinates as ``mul_r`` would, then folds
+as a dot product of one term.
 
 Every stage is a ``Fraction`` (or an int), but the hot readouts compute on
 its numerator and denominator: the bound checks of ``_certify_bound`` and
@@ -168,7 +163,10 @@ def _certify_bound(p: RealPoint, bound: int) -> None:
     (|num| << m) + den <= (bound * den) << m (``_fits``), which is the
     rational rule scaled by den * 2^m.  For a constant c every stage is c
     and 2^-m is smallest at m = 16, so the rule is |c| + 2^-16 <= bound.
+    A ``bound`` below 1 raises ``ValueError`` before any stage is read.
     """
+    if bound < 1:
+        raise ValueError("multiplication bound must be a positive integer")
     c = p.underlying._value
     if c is not None:
         if _fits(c.numerator, c.denominator, bound):
@@ -189,14 +187,12 @@ def mul_r(p: RealPoint, q: RealPoint, bound: int) -> RealPoint:
     stage a is checked against the bound as |a.numerator| > bound *
     a.denominator, the rule |a| > bound times the positive denominator.
 
-    The bound check and both certifications run first, so every error is
-    raised as for any other factors.  Then two constant factors fold to the
-    constant point of their product: each stage would be c1 * c2, and the
-    per-stage ``BoundViolation`` check cannot fire, because a certified
-    constant has |c| + 2^-16 <= bound.
+    Both certifications (``_certify_bound``, which also rejects a bound
+    below 1) run first, so every error is raised as for any other factors.
+    Then two constant factors fold to the constant point of their product:
+    each stage would be c1 * c2, and the per-stage ``BoundViolation`` check
+    cannot fire, because a certified constant has |c| + 2^-16 <= bound.
     """
-    if bound < 1:
-        raise ValueError("multiplication bound must be a positive integer")
     _certify_bound(p, bound)
     _certify_bound(q, bound)
     if p.underlying._value is not None and q.underlying._value is not None:
@@ -242,10 +238,10 @@ def conj_c(a: ComplexPoint) -> ComplexPoint:
 def mul_c(a: ComplexPoint, b: ComplexPoint, bound: int) -> ComplexPoint:
     """(re im) product with all four coordinate factors bounded by ``bound``.
 
-    On four constant coordinates the product is folded as a one-term
-    ``_dot_values`` (see the module docstring): the value of the folded
-    ``mul_r``/``sub_r``/``add_r`` steps, with their errors in their order,
-    the bound check first, then "could not certify |value| <= bound".  Int
+    On four constant coordinates each is certified by ``_certify_bound`` in
+    the order of the ``mul_r`` steps (a.re, b.re, a.im, b.im), so every
+    error is theirs; then the product is a one-term ``_dot_values``, the
+    value of the folded ``mul_r``/``sub_r``/``add_r`` steps.  Int
     coordinates give ints, as those steps do.  A ``None`` bound raises
     ``TypeError`` on every path; the default bound is ``dot_c``'s alone.
     """
@@ -254,7 +250,9 @@ def mul_c(a: ComplexPoint, b: ComplexPoint, bound: int) -> ComplexPoint:
     xr, xi = a.re.underlying._value, a.im.underlying._value
     yr, yi = b.re.underlying._value, b.im.underlying._value
     if xr is not None and xi is not None and yr is not None and yi is not None:
-        re, im = _dot_values(((xr, xi, yr, yi),), bound)
+        for p in (a.re, b.re, a.im, b.im):
+            _certify_bound(p, bound)
+        re, im = _dot_values(((xr, xi, yr, yi),))
         if not any(isinstance(c, Fraction) for c in (xr, xi, yr, yi)):
             re, im = re.numerator, im.numerator
         return ComplexPoint(_constant(re), _constant(im))
@@ -279,32 +277,22 @@ def _add_pair(n1: int, d1: int, n2: int, d2: int):
     return n1 * d2 + n2 * d1, d1 * d2
 
 
-def _dot_values(terms, bound):
+def _dot_values(terms):
     """Exact (re, im) of the sum of x * y over constant terms (xr, xi, yr, yi).
 
-    With an int ``bound`` (``mul_c``'s), each term is bounded and certified
-    as ``mul_r`` would: ``ValueError`` if ``bound < 1``, then
-    ``BoundViolation`` unless every coordinate passes ``_fits``.  With
-    ``bound=None`` (``dot_c``'s) each term's bound is the one ``coord_bound``
-    reads off its constant stages, under which ``_fits`` cannot fail (the
-    lemma in the module docstring), so nothing is checked, and a term with
-    x = 0 is skipped.  The products are summed as unnormalised integer
-    pairs and normalised once, at the end.
+    Nothing is certified here: ``mul_c`` certifies its one term first, and
+    no term of ``dot_c`` can fail (see the module docstring).  A term with
+    x = 0 adds nothing and is skipped.  The products are summed as
+    unnormalised integer pairs and normalised once, at the end.
     """
     rn = imn = 0
     rd = imd = 1
     for xr, xi, yr, yi in terms:
         an, bn = xr.numerator, xi.numerator
-        if bound is None and not an and not bn:
-            continue  # x = 0: the term adds nothing and certifies nothing
+        if not an and not bn:
+            continue
         ad, bd = xr.denominator, xi.denominator
         cn, cd, dn, dd = yr.numerator, yr.denominator, yi.numerator, yi.denominator
-        if bound is not None:
-            if bound < 1:
-                raise ValueError("multiplication bound must be a positive integer")
-            if not (_fits(an, ad, bound) and _fits(cn, cd, bound)
-                    and _fits(bn, bd, bound) and _fits(dn, dd, bound)):
-                raise BoundViolation(f"could not certify |value| <= {bound}")
         # (a + bi)(c + di) = (ac - bd) + (ad + bc)i; zero products add nothing
         if an and cn:
             rn, rd = _add_pair(rn, rd, an * cn, ad * cd)
@@ -338,35 +326,11 @@ def dot_c(xs, ys) -> ComplexPoint:
             break
         terms.append((xr, xi, yr, yi))
     else:
-        re, im = _dot_values(terms, None)
+        re, im = _dot_values(terms)
         return ComplexPoint(_constant(re), _constant(im))
     acc = complex_of_rational(0)
     for x, y in zip(xs, ys):
         acc = add_c(acc, mul_c(x, y, coord_bound(x, y)))
-    return acc
-
-
-def sum_c(zs) -> ComplexPoint:
-    """Sum of a sequence of complex points: the ``add_c`` chain from 0.
-
-    When every coordinate is constant, the sum is folded as one sum of
-    unnormalised numerator/denominator pairs, normalised once into
-    ``Fraction``s: the value each folded ``add_c`` step would reach.
-    Otherwise it is the chain itself, which reads no stage when built.
-    """
-    rn = imn = 0
-    rd = imd = 1
-    for z in zs:
-        re, im = z.re.underlying._value, z.im.underlying._value
-        if re is None or im is None:
-            break
-        rn, rd = _add_pair(rn, rd, re.numerator, re.denominator)
-        imn, imd = _add_pair(imn, imd, im.numerator, im.denominator)
-    else:
-        return ComplexPoint(_constant(Fraction(rn, rd)), _constant(Fraction(imn, imd)))
-    acc = complex_of_rational(0)
-    for z in zs:
-        acc = add_c(acc, z)
     return acc
 
 

@@ -9,8 +9,9 @@ always take the loop: equal stages by repr, or the same error type and
 message.  Inputs that mix constant and unflagged coordinates must take the
 loop exactly as written before the fold: the same stages of the same
 inputs, read in the same order.  The idempotent sum of the character check
-(``sum_c``) and the skipped zero terms of the default-bound fold are held
-to the same standard.
+(``dot_c`` of the values against the unit) and the skipped zero terms of
+the default-bound fold are held to the same standard; the sum is also
+compared with the plain ``add_c`` chain from 0.
 """
 
 from fractions import Fraction
@@ -34,7 +35,6 @@ from formalballs.reals import (
     dot_c,
     mul_c,
     real_of_rational,
-    sum_c,
 )
 
 
@@ -176,7 +176,7 @@ def test_mul_c_rejects_a_none_bound_on_every_path():
 
 
 def loop_sum(zs) -> ComplexPoint:
-    """``sum_c`` as written before the fold: the ``add_c`` chain from 0."""
+    """The sum of the points as the ``add_c`` chain from 0."""
     acc = complex_of_rational(0)
     for z in zs:
         acc = add_c(acc, z)
@@ -191,12 +191,13 @@ def points_of(pairs, make):
 @given(st.lists(st.tuples(rationals, rationals), max_size=5), stage_lists)
 @example([], [0])
 @example([(1, 0), (0, 0), (Fraction(1, 3), Fraction(-1, 6))], [0, 7])
-def test_sum_c_folds_to_the_add_c_chains_stages(pairs, ns):
-    folded = outcome(lambda: sum_c(points_of(pairs, constant)), ns)
+def test_the_idempotent_sum_folds_to_the_add_c_chains_stages(pairs, ns):
+    one = gelfand.unit(len(pairs)).values
+    folded = outcome(lambda: dot_c(points_of(pairs, constant), one), ns)
     assert folded == outcome(lambda: loop_sum(points_of(pairs, twin)), ns)
     assert folded == outcome(lambda: loop_sum(points_of(pairs, constant)), ns)
     zs = points_of(pairs, constant)
-    total = sum_c(zs)
+    total = dot_c(zs, one)
     assert total.re.underlying._value is not None and total.im.underlying._value is not None
     for z in zs:
         assert z.re.underlying._stages == {} and z.im.underlying._stages == {}
@@ -205,7 +206,7 @@ def test_sum_c_folds_to_the_add_c_chains_stages(pairs, ns):
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.tuples(rationals, rationals), min_size=1, max_size=5), st.data(),
        stage_lists)
-def test_sum_c_on_mixed_inputs_reads_the_same_stages(pairs, data, ns):
+def test_the_idempotent_sum_on_mixed_inputs_reads_the_loops_stages(pairs, data, ns):
     flags = data.draw(st.lists(st.booleans(), min_size=2 * len(pairs),
                                max_size=2 * len(pairs)))
 
@@ -218,9 +219,11 @@ def test_sum_c_on_mixed_inputs_reads_the_same_stages(pairs, data, ns):
 
         return points_of(pairs, make)
 
+    one = AlgebraElement(gelfand.unit(len(pairs)).values)
     new_log, old_log = [], []
-    assert outcome(lambda: sum_c(build(new_log)), ns) == outcome(
-        lambda: loop_sum(build(old_log)), ns)
+    new = outcome(lambda: dot_c(build(new_log), one.values), ns)
+    assert new == outcome(lambda: loop_sum(build([])), ns)
+    assert new == outcome(lambda: loop_apply(Character(tuple(build(old_log))), one), ns)
     assert new_log == old_log
 
 
@@ -263,7 +266,8 @@ def test_every_unchecked_constant_is_a_line_element(monkeypatch, capsys):
     """Each value ``_constant`` receives passes the line's ``contains`` check.
 
     The traffic is every folding operator, the spec of C^5, and README-style
-    ``real-eval`` requests; ``gelfand`` holds its own name for ``_constant``.
+    ``real-eval`` requests; ``gelfand`` builds its 0 and 1 through
+    ``real_of_rational``, which calls the patched name.
     """
     seen = []
     real_constant = reals._constant
@@ -274,14 +278,13 @@ def test_every_unchecked_constant_is_a_line_element(monkeypatch, capsys):
         return real_constant(value)
 
     monkeypatch.setattr(reals, "_constant", checked)
-    monkeypatch.setattr(gelfand, "_constant", checked)
     x, y = real_of_rational(Fraction(-7, 3)), real_of_rational(2)
     for op in (reals.add_r, reals.sub_r, reals.max_r, reals.min_r):
         op(x, y), op(constant(3), constant(-4))  # ints fold to ints
     reals.neg_r(x), reals.abs_r(x), reals.scale_r(x, "3/4"), reals.scale_r(y, 0)
     reals.mul_r(x, y, 3)
     z, w = complex_of_rational(1, Fraction(1, 2)), complex_of_rational(-3, 2)
-    mul_c(z, w, 4), dot_c([z, w], [w, z]), sum_c([z, w])
+    mul_c(z, w, 4), dot_c([z, w], [w, z]), dot_c([z, w], gelfand.unit(2).values)
     mul_c(*[ComplexPoint(constant(3), constant(-1))] * 2, 4)
     for argv in (["spec", '{"n": 5}'], ["real-eval", "mul(sub(1/2, 3), abs(-5/4), 8)"],
                  ["real-eval", "max(neg(1/3), min(2, add(1, 1/7)))"]):

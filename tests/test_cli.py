@@ -359,6 +359,12 @@ def test_carrier_objects_are_read_by_their_type(capsys):
     assert (code, payload) == (2, {"error": "carrier must be a JSON object"})
 
 
+def discrete_carrier(n):
+    """A finite carrier of n points, each pair at distance 1."""
+    table = [["0" if i == j else "1" for j in range(int(n))] for i in range(int(n))]
+    return {"type": "finite", "n": n, "d": table}
+
+
 @pytest.mark.parametrize("carrier, message", [
     (dict(TWO_POINTS, d=None), "carrier.d must be a JSON array of 2 rows"),
     (dict(TWO_POINTS, d={"0": ["0", "1"], "1": ["1", "0"]}),
@@ -370,10 +376,20 @@ def test_carrier_objects_are_read_by_their_type(capsys):
      "carrier.d[0] must be a JSON array of 2 entries"),
     (dict(TWO_POINTS, d=["01", "10"]), "carrier.d[0] must be a JSON array of 2 entries"),
     ({"type": "finite", "d": [["0"]]}, "carrier.n is missing"),
-], ids=["d null", "d object", "extra row", "short row", "long row", "string rows", "no n"])
+    (discrete_carrier(cli.FINITE_MAX_N + 1), "carrier.n must be at most 64"),
+    (discrete_carrier(str(cli.FINITE_MAX_N + 1)), "carrier.n must be at most 64"),
+], ids=["d null", "d object", "extra row", "short row", "long row", "string rows", "no n",
+        "n above the limit", "n string above the limit"])
 def test_a_finite_carrier_table_of_the_wrong_shape_is_named(capsys, carrier, message):
     payload = {"check": "member", "carrier": carrier, "u": [{"c": 0, "r": "2"}], "point": 1}
     assert run_cli(capsys, "ball-check", json.dumps(payload)) == (2, {"error": message})
+
+
+def test_a_finite_carrier_of_the_largest_size_is_read(capsys):
+    carrier = discrete_carrier(cli.FINITE_MAX_N)
+    payload = {"check": "member", "carrier": carrier, "u": [{"c": 0, "r": "2"}], "point": 1}
+    assert run_cli(capsys, "ball-check", json.dumps(payload)) == (
+        0, {"check": "member", "answer": "Yes"})
 
 
 def test_zero_denominator_error_names_the_text(capsys):

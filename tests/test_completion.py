@@ -107,8 +107,8 @@ def test_regularize_drops_empty_generators():
 
 def test_seed_member_query_skips_empty_generators():
     f = FilterSeed((BallOpen(LINE, ()), bo((0, 1))))
-    assert seed_member_query(f, bo((0, 2)), 0).is_yes
-    assert not seed_member_query(FilterSeed((BallOpen(LINE, ()),)), bo((0, 2)), 0).is_yes
+    assert seed_member_query(f, bo((0, 2))).is_yes
+    assert not seed_member_query(FilterSeed((BallOpen(LINE, ()),)), bo((0, 2))).is_yes
 
 
 def test_regularize_rejects_disjoint_generators():
@@ -124,7 +124,7 @@ def test_seed_of_point_member_equivalence():
     r = regularize(f)
     for target in (bo((0, 2)), bo((Fraction(1, 2), 1)), bo((5, 1))):
         want = member_query(p, target, 64).is_yes
-        got = seed_member_query(r, target, 64).is_yes
+        got = seed_member_query(r, target).is_yes
         # seed answers are sound for the point's filter
         if got:
             assert want

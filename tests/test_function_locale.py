@@ -33,7 +33,7 @@ from formalballs.maps import (
     lipschitz_line_map,
     proj_map,
 )
-from formalballs.numbers import half_pow
+from formalballs.numbers import half_pow, parse_rational
 
 LINE = rational_line()
 ROOT = Path(__file__).resolve().parents[1]
@@ -287,6 +287,29 @@ def test_a_failing_first_premise_asks_nothing_more(axiom, parts):
                    "reason": "premise not established"}
     first = parts["w1" if axiom == "MM5" else "u"]
     assert imaged == [b.center for b in first.balls]
+
+
+@pytest.mark.parametrize("axiom, parts", [
+    ("MM2", {"u": bo((0, 1)), "v": bo((0, 2)), "q": "1/2"}),
+    ("MM3", {"u": bo((0, 1)), "q": "1/4"}),
+    ("MM5", {
+        "w1": bo((0, Fraction(1, 4))), "w2": bo((0, Fraction(1, 4))),
+        "tau": bo((0, Fraction(1, 8))), "q1": "1", "q2": "1",
+        "v1": bo((0, 3)), "v2": bo((Fraction(1, 2), 3)),
+        "v1p": bo((0, 2)), "v2p": bo((Fraction(1, 2), 2)),
+    }),
+])
+def test_each_rational_part_is_parsed_once(axiom, parts):
+    parsed = []
+
+    def spy(q):
+        parsed.append(q)
+        return parse_rational(q)
+
+    with mock.patch.object(function_locale, "parse_rational", spy):
+        rep = check_axiom(MMInstance(axiom, parts), identity_map(LINE), 16)
+    assert rep["result"] == "Pass"
+    assert parsed == [parts[k] for k in function_locale.RATIONAL_PARTS if k in parts]
 
 
 def test_premise_not_established_is_inconclusive():
