@@ -68,6 +68,21 @@ class BallOpen:
     def of(carrier: MetricCarrier, *balls: FormalBall) -> "BallOpen":
         return BallOpen(carrier, tuple(balls))
 
+    @staticmethod
+    def _trusted(carrier: MetricCarrier, balls: tuple) -> "BallOpen":
+        """The open of ``balls``, with no ``contains`` check on the centers.
+
+        Only for balls whose centers are copied from an open of this
+        carrier, as ``neighborhood`` and ``regularize`` copy them.  By
+        induction every center of every open is a carrier element: the
+        checked constructor tests each one, and this one only copies centers
+        from opens that either constructor built.
+        """
+        u = object.__new__(BallOpen)
+        object.__setattr__(u, "carrier", carrier)
+        object.__setattr__(u, "balls", balls)
+        return u
+
     def to_json(self):
         return {
             "carrier": repr(self.carrier.kind),
@@ -160,7 +175,8 @@ def way_inside(u: BallOpen, eps: Fraction, v: BallOpen, effort: int) -> Query:
 def neighborhood(u: BallOpen, q: Fraction) -> BallOpen:
     """The q-neighborhood on the ball representation: each radius grows by q.
 
-    Each new radius r + q is one ``Fraction`` built from integers."""
+    Each new radius r + q is one ``Fraction`` built from integers.  The
+    centers are u's, so the open is built unchecked (``BallOpen._trusted``)."""
     q = parse_rational(q)
     qn, qd = q.numerator, q.denominator
     if qn <= 0:
@@ -170,7 +186,7 @@ def neighborhood(u: BallOpen, q: Fraction) -> BallOpen:
         r = b.radius
         rd = r.denominator
         balls.append(FormalBall(b.center, Fraction(r.numerator * qd + qn * rd, rd * qd)))
-    return BallOpen(u.carrier, tuple(balls))
+    return BallOpen._trusted(u.carrier, tuple(balls))
 
 
 def is_positive(u: BallOpen) -> bool:

@@ -235,8 +235,9 @@ def _open_from_json(carrier, balls, path: str) -> BallOpen:
 
 
 # Largest space sizes accepted: ``spec`` costs grow as n^3 (n = 32 takes about
-# 0.03 s), ``admissible`` prints one value per point (n = 10000 takes about 0.05 s),
-# and a finite carrier's triangle check is n^3 too (n = 64 takes about 0.03 s).
+# 6 ms in process on a 2-core host, n = 5 about 0.35 ms), ``admissible`` prints
+# one value per point (n = 10000 takes about 0.05 s), and a finite carrier's
+# triangle check is n^3 too (n = 64 takes about 0.03 s).
 ADMISSIBLE_MAX_N = 10_000
 SPEC_MAX_N = 32
 FINITE_MAX_N = 64

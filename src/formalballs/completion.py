@@ -246,7 +246,8 @@ def regularize(f: FilterSeed, effort: int = 32) -> FilterSeed:
             r = b.radius
             rd = r.denominator
             balls.append(FormalBall(b.center, Fraction(r.numerator * ed - mn * rd, rd * ed)))
-        shrunk.append(BallOpen(g.carrier, tuple(balls)))
+        # the centers are g's, already checked
+        shrunk.append(BallOpen._trusted(g.carrier, tuple(balls)))
     return FilterSeed(tuple(shrunk), regular=True)
 
 

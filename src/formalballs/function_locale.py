@@ -50,6 +50,17 @@ MM_PREMISES = {
     "MM5": (("w1", "v1p"), ("w2", "v2p")),
     "MM6": (("u", "v"), ("u", "vp")),
 }
+# the effort budgets past which a check answers Inconclusive or NotYet:
+# MM3's witness stage may reach max(effort, "mm3_stage_floor"); MM4 and
+# ``tau_from_point`` search stages up to min(effort, "interior_stage_cap");
+# MM5 reads its images at "mm5_stages"; ``round_trip`` asks its member
+# queries at effort clamped to the "round_trip_effort" range
+BUDGETS = {
+    "mm3_stage_floor": 64,
+    "interior_stage_cap": 24,
+    "mm5_stages": (8, 16, 32, 64),
+    "round_trip_effort": (32, 64),
+}
 
 
 def holds(u: BallOpen, v: BallOpen, f: MapRep, effort: int) -> Query:
@@ -187,7 +198,7 @@ def _check_mm3(d, f, effort, witnesses):
     the center, inside with radius <= 2^-m < q/4."""
     q = d["q"]
     m = stage_below(q / 16)
-    if m > max(effort, 64):
+    if m > max(effort, BUDGETS["mm3_stage_floor"]):
         return INCONCLUSIVE, {"reason": "effort budget exhausted"}
     x = d["u"].balls[0].center
     image = apply_map(f, point_of_carrier(f.source, x))
@@ -197,11 +208,12 @@ def _check_mm3(d, f, effort, witnesses):
 
 def _check_mm4(d, f, effort, witnesses):
     """Witness b(z, 2^-n + margin/2), z the deepest stage n <= min(effort, 24)
-    of the premise's image in v.  Lemma: for the b(c, r) of v behind margin,
-    d(z, c) + 2^-n + 3 margin/4 = r - margin/4, so it is way inside v by
-    margin/4; and (u, witness) holds, for stage n <= effort of the image is z."""
+    (the "interior_stage_cap" budget) of the premise's image in v.  Lemma:
+    for the b(c, r) of v behind margin, d(z, c) + 2^-n + 3 margin/4 =
+    r - margin/4, so it is way inside v by margin/4; and (u, witness) holds,
+    for stage n <= effort of the image is z."""
     _b, image = witnesses[0]
-    deepest = deepest_stage(image, d["v"], min(effort, 24))
+    deepest = deepest_stage(image, d["v"], min(effort, BUDGETS["interior_stage_cap"]))
     if deepest is None:
         return INCONCLUSIVE, {"reason": "no interior stage found"}
     margin, n = deepest
@@ -217,7 +229,7 @@ def _check_mm5(d, f, effort, witnesses):
     and m may exceed that, so the answer rests on the map's stages."""
     for b in d["tau"].balls:
         image = apply_map(f, point_of_carrier(f.source, b.center))
-        for m in (8, 16, 32, 64):
+        for m in BUDGETS["mm5_stages"]:
             c = image.approx(m)
             slacks = [slack(vi, c) for vi in (d["v1"], d["v2"])]
             if None not in slacks and half_pow(m) < min(slacks) / 8:
@@ -298,17 +310,17 @@ def tau_from_point(f: MapRep, v: BallOpen, effort: int) -> BallOpen:
     """Under-approximate the source open that f maps into v.
 
     Collects the grid balls W = b(c, q/4), of diameter q/2, for which f
-    satisfies the pair (W, v shrunk by q) at effort min(effort, 24).  That
-    pair query is Yes iff the ``deepest_stage`` margin of the image of c
-    in v exceeds q, so each grid center is imaged and measured once, in
-    level-then-grid order, and one ``deepest_stage`` answers it at every
-    shrink level.  The memo of those answers lives for this call only.
+    satisfies the pair (W, v shrunk by q) at effort min(effort, 24) (the
+    "interior_stage_cap" budget).  That pair query is Yes iff the
+    ``deepest_stage`` margin of the image of c in v exceeds q, so each grid
+    center is imaged and measured once, in level-then-grid order, and one
+    ``deepest_stage`` answers it at every shrink level.  The memo of those answers lives for this call only.
     The grid (dyadic levels, span growing with effort) only ever adds
     balls as effort grows.
     """
     source = f.source
     levels, span = _grid(effort)
-    query_effort = min(effort, 24)
+    query_effort = min(effort, BUDGETS["interior_stage_cap"])
     deepest: dict = {}
     accepted = []
     for q in levels:
@@ -338,7 +350,8 @@ def round_trip(
     answers every pair query (b(c, q/4), v shrunk by q).
     """
     tau = tau_from_point(f, v, effort)
-    query_effort = max(32, min(effort, 64))
+    lo, hi = BUDGETS["round_trip_effort"]
+    query_effort = max(lo, min(effort, hi))
     violations = []
     covered = 0
     total_in_v = 0

@@ -5,25 +5,43 @@ basic opens of the real function locale are given by finitely many lower
 and upper constraints, admissibility is a finite check, and the function
 algebra is the product C* algebra C^n with the coordinate projections as
 its characters.
+
+The character laws have two paths, written once in ``_check_character``
+over a small value backend (``_Values``).  The point path applies a
+character with ``dot_c`` and compares stage k + 3 of complex points; it
+serves any element.  The row path serves the elements ``spec``, the law
+suite and the benchmark build, whose coordinates are all constant: each
+element and each character is read once as integer pairs
+(``reals.pairs_of``), a character is applied by one ``dot_pairs``, and the
+sum and product laws use exact pair sums and products.  It is exact, not an
+approximation: every stage of a constant point is its value, so stage k + 3
+*is* the pair's value, ``dot_c`` and ``mul_c`` under ``coord_bound`` fold to
+that same rational (they normalise ``dot_pairs`` into ``Fraction``s) and
+run no certification that could fail, and ``_within`` decides the same
+inequality on any pair that represents a rational.  So every law runs on
+every element, and every comparison and every report is the same.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .numbers import half_pow, parse_rational, rational_str
 from .reals import (
     ComplexPoint,
     add_c,
+    add_pairs,
     complex_of_rational,
     conj_c,
     coord_bound,
     dot_c,
+    dot_pairs,
     modulus_c,
     modulus_interval,
     mul_c,
+    pairs_of,
     real_of_rational,
 )
 from .upper import UpperReal
@@ -249,8 +267,8 @@ class Character:
     def apply(self, a: AlgebraElement) -> ComplexPoint:
         """The sum of chi(e_i) * a_i, one ``dot_c`` over the two value tuples.
 
-        On constant values, the only kind ``spec`` builds, ``dot_c`` folds
-        the sum in integers: the loop of ``mul_c``/``add_c`` it replaces
+        On constant values, the kind ``duality_round_trip`` builds, ``dot_c``
+        folds the sum in integers: the loop of ``mul_c``/``add_c`` it replaces
         would fold every step to the same exact rational, so the point is
         equal and no stage is read.  Each term's default bound exceeds its
         coordinates by more than 1, so the fold runs no certification that
@@ -268,17 +286,19 @@ def spectrum_of_cn(n: int):
 
 
 def _within(a, b, k: int, j: int) -> bool:
-    """|s - t| + 2^-(k+j) < 2^-k for each coordinate pair of the stages a, b.
+    """|s - t| + 2^-(k+j) < 2^-k for each coordinate pair of the values a, b.
 
-    With s = p/q and t = r/d, this is decided in integers as
-    |p d - r q| 2^(k+j) + q d < q d 2^j: the rule times the positive
-    q d 2^(k+j).  For k + j < 0 the rule is scaled by q d instead, so the
-    shifts stay non-negative: |p d - r q| + q d 2^-(k+j) < q d 2^-k.
+    A value is a sequence of rationals given as integer pairs (num, den),
+    den > 0, not necessarily in lowest terms.  With s = p/q and t = r/d,
+    the rule is decided in integers as |p d - r q| 2^(k+j) + q d < q d 2^j:
+    the rule times the positive q d 2^(k+j), so its sense does not depend on
+    which pair represents s or t.  For k + j < 0 the rule is scaled by q d
+    instead, so the shifts stay non-negative: |p d - r q| + q d 2^-(k+j) <
+    q d 2^-k.
     """
     e = k + j
-    for s, t in zip(a, b):
-        q, d = s.denominator, t.denominator
-        x = abs(s.numerator * d - t.numerator * q)
+    for (p, q), (r, d) in zip(a, b):
+        x = abs(p * d - r * q)
         qd = q * d
         if e >= 0:
             if (x << e) + qd >= qd << j:
@@ -288,56 +308,119 @@ def _within(a, b, k: int, j: int) -> bool:
     return True
 
 
-def _close_to(z: ComplexPoint, target: Fraction, k: int) -> bool:
+class _Values(NamedTuple):
+    """How the character laws compute on their values: ``dot`` applies a
+    character, ``add`` and ``mul`` combine two values, and ``read(z, n)`` is
+    stage n of a value as integer pairs."""
+
+    dot: Callable
+    add: Callable
+    mul: Callable
+    read: Callable
+
+
+def _stage_pairs(z: ComplexPoint, n: int):
+    """Stage n of a complex point as integer pairs."""
+    re, im = z.approx(n)
+    return (re.numerator, re.denominator), (im.numerator, im.denominator)
+
+
+def _bounded_mul(x: ComplexPoint, y: ComplexPoint) -> ComplexPoint:
+    return mul_c(x, y, coord_bound(x, y))
+
+
+# values as complex points, for any element
+_POINTS = _Values(dot_c, add_c, _bounded_mul, _stage_pairs)
+# values as exact integer pairs, for constant elements: every stage is the value
+_ROWS = _Values(
+    dot_pairs, add_pairs, lambda x, y: dot_pairs((x,), (y,)), lambda z, _n: z
+)
+_ZERO = ((0, 1), (0, 1))
+_ONE = ((1, 1), (0, 1))
+
+
+def _close_to(values: _Values, z, target, k: int) -> bool:
     """z within 2^-k of an exact real target; the slack covers one stage error."""
-    return _within(z.approx(k + 3), (target, 0), k, 2)
+    return _within(values.read(z, k + 3), target, k, 2)
 
 
-def _is_query_equal(x: ComplexPoint, y: ComplexPoint, k: int) -> bool:
+def _is_query_equal(values: _Values, x, y, k: int) -> bool:
     """x within 2^-k of y; the wider slack covers both stage errors."""
-    return _within(x.approx(k + 3), y.approx(k + 3), k, 1)
+    return _within(values.read(x, k + 3), values.read(y, k + 3), k, 1)
 
 
-def _check_character(chi: Character, elements, k: int) -> dict:
+def _check_character(label: str, chi, elements, k: int, values: _Values) -> dict:
+    """The character laws of chi on the elements, computed by ``values``.
+
+    ``chi`` and each element are sequences of values, one per point, as
+    ``values`` reads them; ``elements`` is the unit, the basis idempotents
+    and the (a, b, a + b, a b) of each sample pair.
+    """
+    dot, add, mul, _ = values
     one, idempotents, products = elements
     failures = []
 
-    if not _close_to(chi.apply(one), Fraction(1), k):
+    if not _close_to(values, dot(chi, one), _ONE, k):
         failures.append({"law": "unit", "witness": "1"})
 
     one_count = 0
-    values = []
+    zs = []
     for i, e in enumerate(idempotents):
-        z = chi.apply(e)
-        is0 = _close_to(z, Fraction(0), k)
-        is1 = _close_to(z, Fraction(1), k)
+        z = dot(chi, e)
+        is0 = _close_to(values, z, _ZERO, k)
+        is1 = _close_to(values, z, _ONE, k)
         if not (is0 or is1):
             failures.append({"law": "idempotent dichotomy", "witness": f"e{i}"})
         if is1:
             one_count += 1
-        values.append(z)
-    if not _close_to(dot_c(values, one.values), Fraction(1), k):
+        zs.append(z)
+    if not _close_to(values, dot(zs, one), _ONE, k):
         failures.append({"law": "idempotent sum", "witness": "sum e_i"})
     if one_count != 1 and not failures:
         failures.append({"law": "projection count", "witness": str(one_count)})
 
     for a, b, a_plus_b, a_times_b in products:
-        lhs = chi.apply(a_plus_b)
-        ca, cb = chi.apply(a), chi.apply(b)
-        rhs = add_c(ca, cb)
-        if not _is_query_equal(lhs, rhs, k):
+        lhs = dot(chi, a_plus_b)
+        ca, cb = dot(chi, a), dot(chi, b)
+        if not _is_query_equal(values, lhs, add(ca, cb), k):
             failures.append({"law": "additivity", "witness": "sampled pair"})
-        lhs = chi.apply(a_times_b)
-        rhs = mul_c(ca, cb, coord_bound(ca, cb))
-        if not _is_query_equal(lhs, rhs, k):
+        lhs = dot(chi, a_times_b)
+        if not _is_query_equal(values, lhs, mul(ca, cb), k):
             failures.append({"law": "multiplicativity", "witness": "sampled pair"})
 
     return {
-        "character": chi.label,
+        "character": label,
         "result": "Pass" if not failures else "Fail",
         "failures": failures,
         "k": k,
     }
+
+
+def _elements(n: int, samples, bound: int):
+    """The unit, the basis idempotents and each sample's (a, b, a + b, a b)
+    for C^n, as tuples of complex points."""
+    products = [
+        (a.values, b.values, alg_add(a, b).values, alg_mul(a, b, bound).values)
+        for a, b in samples
+    ]
+    return unit(n).values, [idempotent(n, i).values for i in range(n)], products
+
+
+def _row(points):
+    """The ``pairs_of`` of each point, or None if one is not constant."""
+    row = tuple(map(pairs_of, points))
+    return None if None in row else row
+
+
+def _rows(elements):
+    """The elements read as rows, or None if any coordinate is not constant."""
+    one, idempotents, products = elements
+    one = _row(one)
+    idempotents = [_row(e) for e in idempotents]
+    products = [tuple(map(_row, p)) for p in products]
+    if one is None or None in idempotents or any(None in p for p in products):
+        return None
+    return one, idempotents, products
 
 
 def verify_spectrum(chars, samples, bound: int, k: int) -> list:
@@ -346,16 +429,26 @@ def verify_spectrum(chars, samples, bound: int, k: int) -> list:
     The elements a character is applied to (the unit, the basis
     idempotents, and each sample pair with its sum and product) do not
     depend on the character, so they are built once for each n among the
-    characters, not once per character.
+    characters, not once per character, and read once as integer rows.
+    A character whose values and elements are all constant takes the row
+    path (see the module docstring): each application is one integer dot
+    product, the sum and product laws are exact pair sums and products, and
+    the comparisons are ``_within`` on the pairs.  Any other character
+    takes the point path, whose reports the row path equals.
     """
     built = {}
     reports = []
     for chi in chars:
         n = chi.n
         if n not in built:
-            products = [(a, b, alg_add(a, b), alg_mul(a, b, bound)) for a, b in samples]
-            built[n] = unit(n), [idempotent(n, i) for i in range(n)], products
-        reports.append(_check_character(chi, built[n], k))
+            points = _elements(n, samples, bound)
+            built[n] = points, _rows(points)
+        points, rows = built[n]
+        row = _row(chi.values) if rows is not None else None
+        if row is None:
+            reports.append(_check_character(chi.label, chi.values, points, k, _POINTS))
+        else:
+            reports.append(_check_character(chi.label, row, rows, k, _ROWS))
     return reports
 
 
@@ -388,8 +481,7 @@ def duality_round_trip(n: int, k: int) -> dict:
     for i, chi in enumerate(chars):
         for j, e in enumerate(idempotents):
             z = chi.apply(e)
-            want = Fraction(1 if j == i else 0)
-            if not _close_to(z, want, k):
+            if not _close_to(_POINTS, z, _ONE if j == i else _ZERO, k):
                 failures.append(
                     {"law": "separation by idempotents", "witness": f"chi{i},e{j}"}
                 )
@@ -404,7 +496,7 @@ def duality_round_trip(n: int, k: int) -> dict:
         witness = [rational_str(hi1), rational_str(hi2)]
         failures.append({"law": "norm preservation", "witness": witness})
     for i in range(n):
-        if not _is_query_equal(recovered.values[i], a.values[i], k):
+        if not _is_query_equal(_POINTS, recovered.values[i], a.values[i], k):
             failures.append({"law": "evaluation round trip", "witness": f"coord {i}"})
 
     report["result"] = "Pass" if not failures else "Fail"

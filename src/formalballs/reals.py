@@ -28,16 +28,17 @@ builds through it too, after ``parse_rational``, which returns only
 unknown type.
 
 A complex dot product of constant points (``dot_c``) is folded as a whole,
-in integers: the products are summed as unnormalised numerator/denominator
-pairs, and the sum is normalised into a ``Fraction`` once.  The folded loop
-of ``mul_c``/``add_c`` would reach the same exact rational one normalised
-step at a time, and equal rationals are equal ``Fraction``s, so the answer
-and every error are unchanged.  That loop bounds each term by
+in integers: each point is read as integer pairs ((re num, re den), (im
+num, im den)) (``pairs_of``), the products are summed as unnormalised pairs
+(``dot_pairs``), and the sum is normalised into a ``Fraction`` once.  The
+folded loop of ``mul_c``/``add_c`` would reach the same exact rational one
+normalised step at a time, and equal rationals are equal ``Fraction``s, so
+the answer and every error are unchanged.  That loop bounds each term by
 b = max(1, floor|c|) + 2 over its four coordinates c, so each has
 |c| < floor|c| + 1 <= b - 1 and |c| + 2^-16 <= b: no certification of a
 constant term can fail, and the fold runs none.  So a term whose two x
-coordinates are 0 is skipped before its y coordinates are read: each of
-its four products is 0.  A product of two constant complex points
+coordinates are 0 is skipped with no arithmetic on its y coordinates: each
+of its four products is 0.  A product of two constant complex points
 (``mul_c``) certifies its four coordinates as ``mul_r`` would, then folds
 as a dot product of one term.
 
@@ -252,7 +253,7 @@ def mul_c(a: ComplexPoint, b: ComplexPoint, bound: int) -> ComplexPoint:
     if xr is not None and xi is not None and yr is not None and yi is not None:
         for p in (a.re, b.re, a.im, b.im):
             _certify_bound(p, bound)
-        re, im = _dot_values(((xr, xi, yr, yi),))
+        re, im = _dot_values((pairs_of(a),), (pairs_of(b),))
         if not any(isinstance(c, Fraction) for c in (xr, xi, yr, yi)):
             re, im = re.numerator, im.numerator
         return ComplexPoint(_constant(re), _constant(im))
@@ -277,22 +278,34 @@ def _add_pair(n1: int, d1: int, n2: int, d2: int):
     return n1 * d2 + n2 * d1, d1 * d2
 
 
-def _dot_values(terms):
-    """Exact (re, im) of the sum of x * y over constant terms (xr, xi, yr, yi).
+def pairs_of(z: ComplexPoint):
+    """The integer pairs ((re num, re den), (im num, im den)) of a point built
+    constant, or None when a coordinate is not constant.  No stage is read."""
+    re, im = z.re.underlying._value, z.im.underlying._value
+    if re is None or im is None:
+        return None
+    return (re.numerator, re.denominator), (im.numerator, im.denominator)
 
-    Nothing is certified here: ``mul_c`` certifies its one term first, and
-    no term of ``dot_c`` can fail (see the module docstring).  A term with
-    x = 0 adds nothing and is skipped.  The products are summed as
-    unnormalised integer pairs and normalised once, at the end.
+
+def _check_lengths(xs, ys) -> None:
+    if len(xs) != len(ys):
+        raise ValueError(f"dot product of sequences of lengths {len(xs)} and {len(ys)}")
+
+
+def dot_pairs(xs, ys):
+    """The exact sum of x_i * y_i over two sequences of ``pairs_of`` values.
+
+    The result is integer pairs too, summed unnormalised: each denominator
+    is a product of positive denominators, so it stays positive.  Nothing is
+    certified (see the module docstring), and a term with x = 0 adds nothing
+    and is skipped.  Sequences of unequal lengths raise ``ValueError``.
     """
+    _check_lengths(xs, ys)
     rn = imn = 0
     rd = imd = 1
-    for xr, xi, yr, yi in terms:
-        an, bn = xr.numerator, xi.numerator
+    for ((an, ad), (bn, bd)), ((cn, cd), (dn, dd)) in zip(xs, ys):
         if not an and not bn:
             continue
-        ad, bd = xr.denominator, xi.denominator
-        cn, cd, dn, dd = yr.numerator, yr.denominator, yi.numerator, yi.denominator
         # (a + bi)(c + di) = (ac - bd) + (ad + bc)i; zero products add nothing
         if an and cn:
             rn, rd = _add_pair(rn, rd, an * cn, ad * cd)
@@ -302,6 +315,19 @@ def _dot_values(terms):
             imn, imd = _add_pair(imn, imd, an * dn, ad * dd)
         if bn and cn:
             imn, imd = _add_pair(imn, imd, bn * cn, bd * cd)
+    return (rn, rd), (imn, imd)
+
+
+def add_pairs(x, y):
+    """The exact sum of two ``pairs_of`` values, as unnormalised integer pairs."""
+    (an, ad), (bn, bd) = x
+    (cn, cd), (dn, dd) = y
+    return _add_pair(an, ad, cn, cd), _add_pair(bn, bd, dn, dd)
+
+
+def _dot_values(xs, ys):
+    """``dot_pairs`` normalised: the exact (re, im) as two ``Fraction``s."""
+    (rn, rd), (imn, imd) = dot_pairs(xs, ys)
     return Fraction(rn, rd), Fraction(imn, imd)
 
 
@@ -316,17 +342,11 @@ def dot_c(xs, ys) -> ComplexPoint:
     under that bound.  Sequences of unequal lengths raise ``ValueError``
     before any stage is read.
     """
-    if len(xs) != len(ys):
-        raise ValueError(f"dot product of sequences of lengths {len(xs)} and {len(ys)}")
-    terms = []
-    for x, y in zip(xs, ys):
-        xr, xi = x.re.underlying._value, x.im.underlying._value
-        yr, yi = y.re.underlying._value, y.im.underlying._value
-        if xr is None or xi is None or yr is None or yi is None:
-            break
-        terms.append((xr, xi, yr, yi))
-    else:
-        re, im = _dot_values(terms)
+    _check_lengths(xs, ys)
+    xps = [pairs_of(x) for x in xs]
+    yps = [pairs_of(y) for y in ys]
+    if None not in xps and None not in yps:
+        re, im = _dot_values(xps, yps)
         return ComplexPoint(_constant(re), _constant(im))
     acc = complex_of_rational(0)
     for x, y in zip(xs, ys):

@@ -39,7 +39,9 @@ class UpperReal:
     dict; ``_best`` holds the running minima built so far.  ``less_than``
     searches the raw bounds from its effort down to the built prefix,
     stopping at the first one below the threshold, so a Yes costs as few
-    stages as the answer allows; otherwise it compares ``bound(effort)``.
+    stages as the answer allows; otherwise the minimum is below the
+    threshold iff the prefix's last running minimum is, and ``_best`` is
+    not extended (an effort inside the prefix reads its running minimum).
 
     ``decreasing=True`` promises that the raw bounds never rise with
     effort, so the running minimum at effort e is the raw bound at e, and
@@ -100,12 +102,19 @@ class UpperReal:
         qn, qd = q.numerator, q.denominator
         if qn <= 0:
             raise ValueError("threshold must be a positive rational")
-        if not self._decreasing:
-            for k in range(effort, len(self._best) - 1, -1):
+        best = self._best
+        if self._decreasing or self._value is not None or effort < len(best):
+            b = self.bound(effort)
+        else:
+            for k in range(effort, len(best) - 1, -1):
                 raw = self._raw_bound(k)
                 if raw.numerator * qd < qn * raw.denominator:
                     return Query.YES
-        b = self.bound(effort)
+            # no raw bound past the built prefix is below q, so the minimum
+            # is below q iff the prefix's is
+            if not best:
+                return Query.NOT_YET
+            b = best[-1]
         return Query.YES if b.numerator * qd < qn * b.denominator else Query.NOT_YET
 
     # -- constructors ------------------------------------------------------

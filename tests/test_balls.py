@@ -1,4 +1,6 @@
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +16,7 @@ from formalballs.balls import (
 from formalballs.carriers import finite_space, product_space, rational_line
 
 LINE = rational_line()
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def bo(*pairs):
@@ -136,3 +139,37 @@ def test_mixed_carriers_rejected():
 def test_ball_open_rejects_non_carrier_centers(carrier, center):
     with pytest.raises(ValueError, match="not a carrier element"):
         BallOpen.of(carrier, FormalBall(center, Fraction(1)))
+
+
+def test_every_trusted_open_center_is_a_carrier_element(monkeypatch, capsys):
+    """Each center that ``BallOpen._trusted`` receives passes ``contains``.
+
+    The traffic is the law suite at seed 0 and the first period of the
+    benchmark's ``finite`` workload at seed 1, each operation run and
+    checked as the benchmark does; ``neighborhood`` and ``regularize`` build
+    their opens through the unchecked constructor.
+    """
+    from formalballs.cli import main
+
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # bench/ stays as is
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    import workloads
+
+    seen = []
+    real_trusted = BallOpen._trusted
+
+    def checked(carrier, balls):
+        for b in balls:
+            seen.append(b.center)
+            assert carrier.contains(b.center), repr(b.center)
+        return real_trusted(carrier, balls)
+
+    monkeypatch.setattr(BallOpen, "_trusted", staticmethod(checked))
+    assert main(["law-suite", "--seed", "0"]) == 0
+    capsys.readouterr()
+    from_suite = len(seen)
+    wl = workloads.WORKLOADS["finite"]
+    ctx = wl.setup(1)
+    for spec in wl.period(1, 0):
+        assert wl.check(spec, wl.run(ctx, spec))
+    assert from_suite > 0 and len(seen) > from_suite

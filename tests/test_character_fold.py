@@ -11,7 +11,9 @@ loop exactly as written before the fold: the same stages of the same
 inputs, read in the same order.  The idempotent sum of the character check
 (``dot_c`` of the values against the unit) and the skipped zero terms of
 the default-bound fold are held to the same standard; the sum is also
-compared with the plain ``add_c`` chain from 0.
+compared with the plain ``add_c`` chain from 0.  ``verify_spectrum``
+checks constant elements on integer rows; its reports must equal those of
+``_check_character``'s point path on the same elements.
 """
 
 from fractions import Fraction
@@ -23,7 +25,13 @@ from hypothesis import strategies as st
 from formalballs import gelfand, reals
 from formalballs.cli import main
 from formalballs.completion import CompletionPoint, point_of_carrier
-from formalballs.gelfand import AlgebraElement, Character, verify_character
+from formalballs.gelfand import (
+    AlgebraElement,
+    Character,
+    spectrum_of_cn,
+    verify_character,
+    verify_spectrum,
+)
 from formalballs.reals import (
     LINE,
     BoundViolation,
@@ -292,3 +300,71 @@ def test_every_unchecked_constant_is_a_line_element(monkeypatch, capsys):
     capsys.readouterr()
     assert len(seen) > 100
     assert {type(v) for v in seen} == {int, Fraction}
+
+
+# -- the row path of verify_spectrum against the point path ------------------
+
+# character values: the basis 0 and 1, non-basis reals such as 1/2, and
+# complex values
+char_values = st.sampled_from([0, 1, Fraction(1, 2), Fraction(-1, 3)]) | rationals
+
+
+@st.composite
+def spectrum_cases(draw):
+    """Characters of C^n that pass and that fail, sample pairs, bound and k."""
+    n = draw(st.integers(1, 4))
+    chars = [chi for chi in spectrum_of_cn(n) if draw(st.booleans())]
+    for label in ("two 1s", "drawn"):
+        if draw(st.booleans()):
+            if label == "two 1s" and n > 1:
+                pairs = [(1, 0), (1, 0)] + [(0, 0)] * (n - 2)
+            else:
+                pairs = draw(st.lists(st.tuples(char_values, char_values | st.just(0)),
+                                      min_size=n, max_size=n))
+            chars.append(Character(character_of(pairs, constant).values, label=label))
+    # a sample of another length fails as the point path does, with its error
+    m = draw(st.sampled_from([n] * 5 + [n + 1]))
+    coords = st.lists(st.tuples(rationals, rationals), min_size=m, max_size=m)
+    samples = [(element_of(draw(coords), constant), element_of(draw(coords), constant))
+               for _ in range(draw(st.integers(0, 2)))]
+    return chars, samples, draw(st.integers(1, 14)), draw(st.sampled_from([0, 4, 16]))
+
+
+def reports_or_error(fn):
+    try:
+        return fn()
+    except (BoundViolation, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(spectrum_cases())
+@example(([Character(character_of([(Fraction(1, 2), 0)] * 2, constant).values, "half")],
+          [], 8, 0))
+def test_row_path_reports_equal_the_point_paths(case):
+    chars, samples, bound, k = case
+
+    def point_reports():
+        built = {}
+        out = []
+        for chi in chars:
+            if chi.n not in built:
+                built[chi.n] = gelfand._elements(chi.n, samples, bound)
+            out.append(gelfand._check_character(
+                chi.label, chi.values, built[chi.n], k, gelfand._POINTS))
+        return out
+
+    paths = []
+    real_check = gelfand._check_character
+
+    def spy(label, chi, elements, k, values):
+        paths.append(values)
+        return real_check(label, chi, elements, k, values)
+
+    want = reports_or_error(point_reports)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(gelfand, "_check_character", spy)
+        got = reports_or_error(lambda: verify_spectrum(chars, samples, bound, k))
+    assert got == want
+    # every character that was checked took the row path
+    assert all(values is gelfand._ROWS for values in paths)

@@ -236,13 +236,19 @@ def test_verify_spectrum_builds_the_elements_once_per_n(monkeypatch):
     assert sorted(built) == [("1", 4)] + [("e", 4, i) for i in range(4)]
 
 
-@pytest.mark.parametrize("n, points", [(5, 192), (32, 2946)])
+@pytest.mark.parametrize("n, points", [(5, 62), (32, 386)])
 def test_spec_point_constructions_are_pinned(monkeypatch, capsys, n, points):
     """The completion points one ``spec`` request builds, a count of its work.
 
     Before the elements were built from unchecked shared constants and the
     idempotent sum was folded, the counts were 330 (n = 5) and 9024 (n = 32).
-    A change that moves them names the new counts and the reason.
+    Before the character laws ran on integer rows, they were 192 and 2946:
+    each character application and each sum and product law built two
+    constant points.  Now only the elements are points: 2 for the unit's
+    shared 0 and 1, 2 for each of the n idempotents of the elements and the
+    n of the characters, and 2n for each of a, b, a + b and a b of the one
+    sample: 2 + 12 n, so 62 (n = 5) and 386 (n = 32).  A change that moves
+    them names the new counts and the reason.
     """
     from formalballs.cli import main
 

@@ -2,7 +2,8 @@
 
 ``modulus_interval``, ``sqrt_lower``, ``_certify_bound``, the per-stage
 bound check of ``mul_r`` and the character-law comparison ``_within`` of
-``gelfand`` compute on integer numerators and denominators.  Each is
+``gelfand`` compute on integer numerators and denominators (``_within``
+takes them as (num, den) pairs, in lowest terms or not).  Each is
 compared here with the ``Fraction`` formula it replaced, kept below as a
 reference: equal results by repr (so equal values of the same type), or the
 same error type and message.  The certification that the constant dot
@@ -275,7 +276,14 @@ def within_cases(draw):
 @example(((7, 0), (0, 0), -4, 1))
 def test_within_matches_the_fraction_formula(case):
     a, b, k, j = case
-    assert _within(a, b, k, j) == ref_within(a, b, k, j)
+
+    def pairs(value, scale=1):
+        return tuple((scale * s.numerator, scale * s.denominator) for s in value)
+
+    want = ref_within(a, b, k, j)
+    assert _within(pairs(a), pairs(b), k, j) == want
+    # the row path's pairs are not in lowest terms; the answer must not move
+    assert _within(pairs(a, 6), pairs(b, 35), k, j) == want
 
 
 # -- the certification a constant dot product skips under its default bound ----

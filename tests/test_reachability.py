@@ -38,7 +38,11 @@ ALLOWED = {
     "carriers.gaussian_rationals": "bench/tracing.py wraps it by name",
     "cli._help": "prints the usage text for -h/--help only; test_cli_reader runs it",
     "completion.CompletionPoint.to_json": "failure path: a round-trip violation",
+    "gelfand._bounded_mul": "point path of the character laws: only for a non-constant "
+                            "element, which the traffic never builds; test_character_fold runs it",
     "gelfand._failure": "failure path: a failed admissibility witness",
+    "reals.coord_bound": "bounds dot_c's loop and _bounded_mul, both only for a non-constant "
+                         "coordinate; test_character_fold runs them",
     "upper.UpperReal.__repr__": "debugging aid",
 }
 
