@@ -75,7 +75,6 @@ from .reals import (
     add_r,
     complex_of_rational,
     conj_c,
-    dot_c,
     max_r,
     min_r,
     modulus_c,

@@ -84,18 +84,19 @@ def finite_space(n: int, table) -> MetricCarrier:
     if n < 1:
         raise ValueError("finite space needs at least one point")
     d = [[parse_rational(table[i][j]) for j in range(n)] for i in range(n)]
-    for i in range(n):
-        if d[i][i] != 0:
-            raise MetricAxiomError("nonzero diagonal", (i,))
-        for j in range(n):
-            if d[i][j] < 0:
-                raise MetricAxiomError("negative distance", (i, j))
-            if d[i][j] != d[j][i]:
-                raise MetricAxiomError("asymmetric distance", (i, j))
-    # the triangle check on integers: every entry scaled by the lcm of the
-    # denominators; the first witness in (i, j, k) order is the same
+    # every check on integers: each entry scaled by the lcm of the
+    # denominators, a positive factor, so zero, sign, equality and each
+    # triangle keep their sense, and the first witness is the same
     scale = lcm(*(q.denominator for row in d for q in row))
     m = [[q.numerator * (scale // q.denominator) for q in row] for row in d]
+    for i, mi in enumerate(m):
+        if mi[i]:
+            raise MetricAxiomError("nonzero diagonal", (i,))
+        for j, mij in enumerate(mi):
+            if mij < 0:
+                raise MetricAxiomError("negative distance", (i, j))
+            if mij != m[j][i]:
+                raise MetricAxiomError("asymmetric distance", (i, j))
     for i, mi in enumerate(m):
         for j, mij in enumerate(mi):
             mj = m[j]

@@ -27,13 +27,12 @@ from .carriers import finite_space_from_json, rational_line
 from .completion import member_query, point_of_carrier
 from .function_locale import RATIONAL_PARTS, MMInstance, check_axiom
 from .gelfand import (
-    AlgebraElement,
     FiniteDiscreteSpace,
     BasicOpenXR,
+    _verify_rows,
     has_point,
     is_admissible,
     spectrum_of_cn,
-    verify_spectrum,
 )
 from .lawsuite import run_law_suite, suite_json
 from .maps import (
@@ -235,7 +234,7 @@ def _open_from_json(carrier, balls, path: str) -> BallOpen:
 
 
 # Largest space sizes accepted: ``spec`` costs grow as n^3 (n = 32 takes about
-# 6 ms in process on a 2-core host, n = 5 about 0.35 ms), ``admissible`` prints
+# 4 ms in process on a 2-core host, n = 5 about 0.15 ms), ``admissible`` prints
 # one value per point (n = 10000 takes about 0.05 s), and a finite carrier's
 # triangle check is n^3 too (n = 64 takes about 0.03 s).
 ADMISSIBLE_MAX_N = 10_000
@@ -365,15 +364,13 @@ def _cmd_spec(args):
     payload = _load_payload(args)
     n = _space_size(payload, SPEC_MAX_N, "spec")
     chars = spectrum_of_cn(n)
-    samples = [
-        (
-            AlgebraElement.of_rationals([(1, 0)] * n),
-            AlgebraElement.of_rationals([(j, 1) for j in range(n)]),
-        )
-    ]
+    # the sample pair (1, ..., 1) and (j + i) for j < n, built as rows of
+    # integer pairs ((re num, re den), (im num, im den))
+    a = (((1, 1), (0, 1)),) * n
+    b = tuple(((j, 1), (1, 1)) for j in range(n))
     # the sample coordinates reach n - 1; the factor bound must cover them
     bound = max(8, n)
-    reports = verify_spectrum(chars, samples, bound=bound, k=16)
+    reports = _verify_rows(chars, [(a, b)], bound=bound, k=16)
     ok = all(r["result"] == "Pass" for r in reports)
     return (0 if ok else 1), {
         "n": n,

@@ -6,43 +6,37 @@ and upper constraints, admissibility is a finite check, and the function
 algebra is the product C* algebra C^n with the coordinate projections as
 its characters.
 
-The character laws have two paths, written once in ``_check_character``
-over a small value backend (``_Values``).  The point path applies a
-character with ``dot_c`` and compares stage k + 3 of complex points; it
-serves any element.  The row path serves the elements ``spec``, the law
-suite and the benchmark build, whose coordinates are all constant: each
-element and each character is read once as integer pairs
-(``reals.pairs_of``), a character is applied by one ``dot_pairs``, and the
-sum and product laws use exact pair sums and products.  It is exact, not an
-approximation: every stage of a constant point is its value, so stage k + 3
-*is* the pair's value, ``dot_c`` and ``mul_c`` under ``coord_bound`` fold to
-that same rational (they normalise ``dot_pairs`` into ``Fraction``s) and
-run no certification that could fail, and ``_within`` decides the same
-inequality on any pair that represents a rational.  So every law runs on
-every element, and every comparison and every report is the same.
+The character laws compute on rows: one exact Gaussian rational per point,
+as integer pairs ((re num, re den), (im num, im den)) with positive
+denominators, not necessarily in lowest terms (``reals.pairs_of``).  A
+``Character``'s values are a row, and the unit, the basis idempotents and
+each sample's a + b and a b are built as rows.  An ``AlgebraElement``
+handed to a law is read once into a row, so each of its coordinates must
+be a constant point.  A character is applied by one ``dot_pairs``, the sum
+and product laws use exact pair sums and products, and each comparison is
+``_within`` on the pairs.  A sample product is certified against the
+caller's bound as ``mul_c`` certifies constant factors, so every error is
+``alg_mul``'s.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Optional
 
 from .numbers import half_pow, parse_rational, rational_str
 from .reals import (
     ComplexPoint,
-    add_c,
     add_pairs,
+    certify_constant,
     complex_of_rational,
     conj_c,
-    coord_bound,
-    dot_c,
     dot_pairs,
     modulus_c,
     modulus_interval,
     mul_c,
     pairs_of,
-    real_of_rational,
 )
 from .upper import UpperReal
 
@@ -176,45 +170,24 @@ class AlgebraElement:
         )
 
 
-def _coordinates(a: AlgebraElement, b: AlgebraElement):
-    """The coordinate pairs of a and b; ``ValueError`` on unequal lengths."""
-    if len(a.values) != len(b.values):
+def _coordinates(xs, ys):
+    """The coordinate pairs of two elements' values; ``ValueError`` on
+    unequal lengths."""
+    if len(xs) != len(ys):
         raise ValueError(
-            f"elements of lengths {len(a.values)} and {len(b.values)} do not combine"
+            f"elements of lengths {len(xs)} and {len(ys)} do not combine"
         )
-    return zip(a.values, b.values)
-
-
-def alg_add(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-    return AlgebraElement(tuple(add_c(x, y) for x, y in _coordinates(a, b)))
+    return zip(xs, ys)
 
 
 def alg_mul(a: AlgebraElement, b: AlgebraElement, bound: int) -> AlgebraElement:
-    return AlgebraElement(tuple(mul_c(x, y, bound) for x, y in _coordinates(a, b)))
+    return AlgebraElement(
+        tuple(mul_c(x, y, bound) for x, y in _coordinates(a.values, b.values))
+    )
 
 
 def alg_star(a: AlgebraElement) -> AlgebraElement:
     return AlgebraElement(tuple(conj_c(x) for x in a.values))
-
-
-def _zero_one():
-    """The constant complex points 0 and 1, with ``Fraction`` coordinates.
-
-    Built by ``real_of_rational``, with no ``contains`` check.  Every
-    coordinate that holds 0 or 1 shares one call's point: each stage of a
-    constant point is its value, so no reader can tell them apart.
-    """
-    zero = real_of_rational(0)
-    return ComplexPoint(zero, zero), ComplexPoint(real_of_rational(1), zero)
-
-
-def unit(n: int) -> AlgebraElement:
-    return AlgebraElement((_zero_one()[1],) * n)
-
-
-def idempotent(n: int, i: int) -> AlgebraElement:
-    zero, one = _zero_one()
-    return AlgebraElement(tuple(one if j == i else zero for j in range(n)))
 
 
 def sup_norm(a: AlgebraElement) -> UpperReal:
@@ -252,10 +225,32 @@ def cstar_identity_check(a: AlgebraElement, bound: int, k: int) -> dict:
 
 # -- spectrum of the n-dimensional algebra ---------------------------------
 
+# 0 and 1 as row entries
+_ZERO = ((0, 1), (0, 1))
+_ONE = ((1, 1), (0, 1))
+
+
+def _row(points, name: str) -> tuple:
+    """The complex points as a row, each read by ``pairs_of``; no stage is
+    read.  ``ValueError`` names the first point that is not constant."""
+    row = tuple(map(pairs_of, points))
+    if None in row:
+        raise ValueError(f"{name} coordinate {row.index(None)} is not constant")
+    return row
+
+
+def _basis(n: int) -> list:
+    """The n basis idempotents of C^n as rows."""
+    return [(_ZERO,) * i + (_ONE,) + (_ZERO,) * (n - 1 - i) for i in range(n)]
+
 
 @dataclass(frozen=True)
 class Character:
-    """A candidate character given by its values on the idempotent basis."""
+    """A candidate character given by its values on the idempotent basis.
+
+    ``values`` is a row: one Gaussian rational per point, as integer pairs
+    ((re num, re den), (im num, im den)) with positive denominators.
+    """
 
     values: tuple
     label: str = "chi"
@@ -265,24 +260,19 @@ class Character:
         return len(self.values)
 
     def apply(self, a: AlgebraElement) -> ComplexPoint:
-        """The sum of chi(e_i) * a_i, one ``dot_c`` over the two value tuples.
-
-        On constant values, the kind ``duality_round_trip`` builds, ``dot_c``
-        folds the sum in integers: the loop of ``mul_c``/``add_c`` it replaces
-        would fold every step to the same exact rational, so the point is
-        equal and no stage is read.  Each term's default bound exceeds its
-        coordinates by more than 1, so the fold runs no certification that
-        could fail, and it skips each term where chi(e_i) is 0.  An element
-        of another length raises ``ValueError``.
+        """The sum of chi(e_i) * a_i as a constant point: one ``dot_pairs``
+        over the values and a read once as a row.  A coordinate of a that is
+        not constant, or an element of another length, raises ``ValueError``.
         """
-        return dot_c(self.values, a.values)
+        (rn, rd), (imn, imd) = dot_pairs(self.values, _row(a.values, "element"))
+        return complex_of_rational(Fraction(rn, rd), Fraction(imn, imd))
 
 
 def spectrum_of_cn(n: int):
     """The n coordinate projections, one per point of the underlying space."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return [Character(idempotent(n, i).values, label=f"eval@{i}") for i in range(n)]
+    return [Character(e, label=f"eval@{i}") for i, e in enumerate(_basis(n))]
 
 
 def _within(a, b, k: int, j: int) -> bool:
@@ -308,84 +298,55 @@ def _within(a, b, k: int, j: int) -> bool:
     return True
 
 
-class _Values(NamedTuple):
-    """How the character laws compute on their values: ``dot`` applies a
-    character, ``add`` and ``mul`` combine two values, and ``read(z, n)`` is
-    stage n of a value as integer pairs."""
-
-    dot: Callable
-    add: Callable
-    mul: Callable
-    read: Callable
+def _close_to(z, target, k: int) -> bool:
+    """z within 2^-k of an exact target.  The slack 2^-(k+2) is what a read
+    of z at stage k + 3 allows for its error; every stage of an exact value
+    is the value, so the rule is the one that read decides."""
+    return _within(z, target, k, 2)
 
 
-def _stage_pairs(z: ComplexPoint, n: int):
-    """Stage n of a complex point as integer pairs."""
-    re, im = z.approx(n)
-    return (re.numerator, re.denominator), (im.numerator, im.denominator)
+def _is_query_equal(x, y, k: int) -> bool:
+    """x within 2^-k of y; the wider slack allows for two stage errors."""
+    return _within(x, y, k, 1)
 
 
-def _bounded_mul(x: ComplexPoint, y: ComplexPoint) -> ComplexPoint:
-    return mul_c(x, y, coord_bound(x, y))
+def _check_character(label: str, chi, elements, k: int) -> dict:
+    """The character laws of the row chi on the element rows.
 
-
-# values as complex points, for any element
-_POINTS = _Values(dot_c, add_c, _bounded_mul, _stage_pairs)
-# values as exact integer pairs, for constant elements: every stage is the value
-_ROWS = _Values(
-    dot_pairs, add_pairs, lambda x, y: dot_pairs((x,), (y,)), lambda z, _n: z
-)
-_ZERO = ((0, 1), (0, 1))
-_ONE = ((1, 1), (0, 1))
-
-
-def _close_to(values: _Values, z, target, k: int) -> bool:
-    """z within 2^-k of an exact real target; the slack covers one stage error."""
-    return _within(values.read(z, k + 3), target, k, 2)
-
-
-def _is_query_equal(values: _Values, x, y, k: int) -> bool:
-    """x within 2^-k of y; the wider slack covers both stage errors."""
-    return _within(values.read(x, k + 3), values.read(y, k + 3), k, 1)
-
-
-def _check_character(label: str, chi, elements, k: int, values: _Values) -> dict:
-    """The character laws of chi on the elements, computed by ``values``.
-
-    ``chi`` and each element are sequences of values, one per point, as
-    ``values`` reads them; ``elements`` is the unit, the basis idempotents
-    and the (a, b, a + b, a b) of each sample pair.
+    ``elements`` is the unit, the basis idempotents and the (a, b, a + b,
+    a b) of each sample pair.  The product law's right-hand side is the
+    uncertified pair product: a certification of constant factors under a
+    bound above every coordinate cannot fail.
     """
-    dot, add, mul, _ = values
-    one, idempotents, products = elements
+    one, basis, products = elements
     failures = []
 
-    if not _close_to(values, dot(chi, one), _ONE, k):
+    if not _close_to(dot_pairs(chi, one), _ONE, k):
         failures.append({"law": "unit", "witness": "1"})
 
     one_count = 0
     zs = []
-    for i, e in enumerate(idempotents):
-        z = dot(chi, e)
-        is0 = _close_to(values, z, _ZERO, k)
-        is1 = _close_to(values, z, _ONE, k)
+    for i, e in enumerate(basis):
+        z = dot_pairs(chi, e)
+        is0 = _close_to(z, _ZERO, k)
+        is1 = _close_to(z, _ONE, k)
         if not (is0 or is1):
             failures.append({"law": "idempotent dichotomy", "witness": f"e{i}"})
         if is1:
             one_count += 1
         zs.append(z)
-    if not _close_to(values, dot(zs, one), _ONE, k):
+    if not _close_to(dot_pairs(zs, one), _ONE, k):
         failures.append({"law": "idempotent sum", "witness": "sum e_i"})
     if one_count != 1 and not failures:
         failures.append({"law": "projection count", "witness": str(one_count)})
 
     for a, b, a_plus_b, a_times_b in products:
-        lhs = dot(chi, a_plus_b)
-        ca, cb = dot(chi, a), dot(chi, b)
-        if not _is_query_equal(values, lhs, add(ca, cb), k):
+        lhs = dot_pairs(chi, a_plus_b)
+        ca, cb = dot_pairs(chi, a), dot_pairs(chi, b)
+        if not _is_query_equal(lhs, add_pairs(ca, cb), k):
             failures.append({"law": "additivity", "witness": "sampled pair"})
-        lhs = dot(chi, a_times_b)
-        if not _is_query_equal(values, lhs, mul(ca, cb), k):
+        lhs = dot_pairs(chi, a_times_b)
+        if not _is_query_equal(lhs, dot_pairs((ca,), (cb,)), k):
             failures.append({"law": "multiplicativity", "witness": "sampled pair"})
 
     return {
@@ -396,60 +357,58 @@ def _check_character(label: str, chi, elements, k: int, values: _Values) -> dict
     }
 
 
-def _elements(n: int, samples, bound: int):
-    """The unit, the basis idempotents and each sample's (a, b, a + b, a b)
-    for C^n, as tuples of complex points."""
-    products = [
-        (a.values, b.values, alg_add(a, b).values, alg_mul(a, b, bound).values)
-        for a, b in samples
-    ]
-    return unit(n).values, [idempotent(n, i).values for i in range(n)], products
+def _sample(a, b, bound: int):
+    """(a, b, a + b, a b) for one sample pair of rows.
+
+    Each coordinate pair of a b is certified as ``mul_c`` certifies four
+    constant factors: |c| + 2^-16 <= bound for a.re, b.re, a.im, b.im in
+    turn (``certify_constant``), so every error is ``alg_mul``'s, in the
+    same order.
+    """
+    pairs = list(_coordinates(a, b))
+    for x, y in pairs:
+        for num, den in (x[0], y[0], x[1], y[1]):
+            certify_constant(num, den, bound)
+    return (
+        a,
+        b,
+        tuple(add_pairs(x, y) for x, y in pairs),
+        tuple(dot_pairs((x,), (y,)) for x, y in pairs),
+    )
 
 
-def _row(points):
-    """The ``pairs_of`` of each point, or None if one is not constant."""
-    row = tuple(map(pairs_of, points))
-    return None if None in row else row
-
-
-def _rows(elements):
-    """The elements read as rows, or None if any coordinate is not constant."""
-    one, idempotents, products = elements
-    one = _row(one)
-    idempotents = [_row(e) for e in idempotents]
-    products = [tuple(map(_row, p)) for p in products]
-    if one is None or None in idempotents or any(None in p for p in products):
-        return None
-    return one, idempotents, products
-
-
-def verify_spectrum(chars, samples, bound: int, k: int) -> list:
-    """One ``verify_character`` report per character, in order.
+def _verify_rows(chars, samples, bound: int, k: int) -> list:
+    """``verify_spectrum`` on sample pairs given as rows.
 
     The elements a character is applied to (the unit, the basis
     idempotents, and each sample pair with its sum and product) do not
     depend on the character, so they are built once for each n among the
-    characters, not once per character, and read once as integer rows.
-    A character whose values and elements are all constant takes the row
-    path (see the module docstring): each application is one integer dot
-    product, the sum and product laws are exact pair sums and products, and
-    the comparisons are ``_within`` on the pairs.  Any other character
-    takes the point path, whose reports the row path equals.
+    characters, the sample products once in all.
     """
+    if not chars:
+        return []
+    products = [_sample(a, b, bound) for a, b in samples]
     built = {}
     reports = []
     for chi in chars:
         n = chi.n
         if n not in built:
-            points = _elements(n, samples, bound)
-            built[n] = points, _rows(points)
-        points, rows = built[n]
-        row = _row(chi.values) if rows is not None else None
-        if row is None:
-            reports.append(_check_character(chi.label, chi.values, points, k, _POINTS))
-        else:
-            reports.append(_check_character(chi.label, row, rows, k, _ROWS))
+            built[n] = (_ONE,) * n, _basis(n), products
+        reports.append(_check_character(chi.label, chi.values, built[n], k))
     return reports
+
+
+def verify_spectrum(chars, samples, bound: int, k: int) -> list:
+    """One ``verify_character`` report per character, in order.
+
+    Each sample element is read once as a row; ``ValueError`` names a
+    coordinate that is not constant.
+    """
+    rows = [
+        (_row(a.values, f"sample {s} a"), _row(b.values, f"sample {s} b"))
+        for s, (a, b) in enumerate(samples)
+    ]
+    return _verify_rows(chars, rows, bound, k)
 
 
 def verify_character(chi: Character, samples, bound: int, k: int) -> dict:
@@ -477,11 +436,10 @@ def duality_round_trip(n: int, k: int) -> dict:
 
     if len(chars) != n:
         failures.append({"law": "cardinality", "witness": len(chars)})
-    idempotents = [idempotent(n, j) for j in range(n)]
+    basis = _basis(n)
     for i, chi in enumerate(chars):
-        for j, e in enumerate(idempotents):
-            z = chi.apply(e)
-            if not _close_to(_POINTS, z, _ONE if j == i else _ZERO, k):
+        for j, e in enumerate(basis):
+            if not _close_to(dot_pairs(chi.values, e), _ONE if j == i else _ZERO, k):
                 failures.append(
                     {"law": "separation by idempotents", "witness": f"chi{i},e{j}"}
                 )
@@ -495,8 +453,9 @@ def duality_round_trip(n: int, k: int) -> dict:
     if max(hi1 - lo2, hi2 - lo1) >= half_pow(k):
         witness = [rational_str(hi1), rational_str(hi2)]
         failures.append({"law": "norm preservation", "witness": witness})
+    back, want = _row(recovered.values, "recovered"), _row(a.values, "element")
     for i in range(n):
-        if not _is_query_equal(_POINTS, recovered.values[i], a.values[i], k):
+        if not _is_query_equal(back[i], want[i], k):
             failures.append({"law": "evaluation round trip", "witness": f"coord {i}"})
 
     report["result"] = "Pass" if not failures else "Fail"

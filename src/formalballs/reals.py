@@ -27,20 +27,15 @@ builds through it too, after ``parse_rational``, which returns only
 ``Fraction``s.  ``point_of_carrier`` stays the constructor for a value of
 unknown type.
 
-A complex dot product of constant points (``dot_c``) is folded as a whole,
-in integers: each point is read as integer pairs ((re num, re den), (im
-num, im den)) (``pairs_of``), the products are summed as unnormalised pairs
-(``dot_pairs``), and the sum is normalised into a ``Fraction`` once.  The
-folded loop of ``mul_c``/``add_c`` would reach the same exact rational one
-normalised step at a time, and equal rationals are equal ``Fraction``s, so
-the answer and every error are unchanged.  That loop bounds each term by
-b = max(1, floor|c|) + 2 over its four coordinates c, so each has
-|c| < floor|c| + 1 <= b - 1 and |c| + 2^-16 <= b: no certification of a
-constant term can fail, and the fold runs none.  So a term whose two x
-coordinates are 0 is skipped with no arithmetic on its y coordinates: each
-of its four products is 0.  A product of two constant complex points
-(``mul_c``) certifies its four coordinates as ``mul_r`` would, then folds
-as a dot product of one term.
+A complex dot product of constant values is summed in integers
+(``dot_pairs``): each point is read as integer pairs ((re num, re den), (im
+num, im den)) (``pairs_of``), and the products are summed as unnormalised
+pairs.  A product of two constant complex points (``mul_c``) certifies its
+four coordinates as ``mul_r`` would, then normalises a one-term
+``dot_pairs`` into ``Fraction``s: the folded ``mul_r``/``sub_r``/``add_r``
+steps reach the same exact rational one normalised step at a time, and
+equal rationals are equal ``Fraction``s, so the answer and every error are
+unchanged.
 
 Every stage is a ``Fraction`` (or an int), but the hot readouts compute on
 its numerator and denominator: the bound checks of ``_certify_bound`` and
@@ -157,26 +152,34 @@ def _fits(num: int, den: int, bound: int, m: int = 16) -> bool:
     return (abs(num) << m) + den <= (bound * den) << m
 
 
+def certify_constant(num: int, den: int, bound: int) -> None:
+    """``_certify_bound`` of the constant num/den, den > 0: raise unless
+    |num/den| + 2^-16 <= bound, and ``ValueError`` on a bound below 1."""
+    if bound < 1:
+        raise ValueError("multiplication bound must be a positive integer")
+    if not _fits(num, den, bound):
+        raise BoundViolation(f"could not certify |value| <= {bound}")
+
+
 def _certify_bound(p: RealPoint, bound: int) -> None:
     """Raise unless |stage m| + 2^-m <= bound at one of m = 4, 8, 16.
 
     Each stage s = num/den is checked in integers as
     (|num| << m) + den <= (bound * den) << m (``_fits``), which is the
     rational rule scaled by den * 2^m.  For a constant c every stage is c
-    and 2^-m is smallest at m = 16, so the rule is |c| + 2^-16 <= bound.
-    A ``bound`` below 1 raises ``ValueError`` before any stage is read.
+    and 2^-m is smallest at m = 16, so the rule is |c| + 2^-16 <= bound
+    (``certify_constant``).  A ``bound`` below 1 raises ``ValueError``
+    before any stage is read.
     """
-    if bound < 1:
-        raise ValueError("multiplication bound must be a positive integer")
     c = p.underlying._value
     if c is not None:
-        if _fits(c.numerator, c.denominator, bound):
+        return certify_constant(c.numerator, c.denominator, bound)
+    if bound < 1:
+        raise ValueError("multiplication bound must be a positive integer")
+    for m in (4, 8, 16):
+        s = p.approx(m)
+        if _fits(s.numerator, s.denominator, bound, m):
             return
-    else:
-        for m in (4, 8, 16):
-            s = p.approx(m)
-            if _fits(s.numerator, s.denominator, bound, m):
-                return
     raise BoundViolation(f"could not certify |value| <= {bound}")
 
 
@@ -244,7 +247,7 @@ def mul_c(a: ComplexPoint, b: ComplexPoint, bound: int) -> ComplexPoint:
     error is theirs; then the product is a one-term ``_dot_values``, the
     value of the folded ``mul_r``/``sub_r``/``add_r`` steps.  Int
     coordinates give ints, as those steps do.  A ``None`` bound raises
-    ``TypeError`` on every path; the default bound is ``dot_c``'s alone.
+    ``TypeError`` on every path.
     """
     if bound is None:
         raise TypeError("mul_c needs an int bound, got None")
@@ -260,15 +263,6 @@ def mul_c(a: ComplexPoint, b: ComplexPoint, bound: int) -> ComplexPoint:
     re = sub_r(mul_r(a.re, b.re, bound), mul_r(a.im, b.im, bound))
     im = add_r(mul_r(a.re, b.im, bound), mul_r(a.im, b.re, bound))
     return ComplexPoint(re, im)
-
-
-def coord_bound(*points: ComplexPoint) -> int:
-    """A small certified integer bound on every coordinate of the points."""
-    worst = Fraction(1)
-    for z in points:
-        re, im = z.approx(4)
-        worst = max(worst, abs(re), abs(im))
-    return int(worst) + 2
 
 
 def _add_pair(n1: int, d1: int, n2: int, d2: int):
@@ -287,20 +281,17 @@ def pairs_of(z: ComplexPoint):
     return (re.numerator, re.denominator), (im.numerator, im.denominator)
 
 
-def _check_lengths(xs, ys) -> None:
-    if len(xs) != len(ys):
-        raise ValueError(f"dot product of sequences of lengths {len(xs)} and {len(ys)}")
-
-
 def dot_pairs(xs, ys):
     """The exact sum of x_i * y_i over two sequences of ``pairs_of`` values.
 
     The result is integer pairs too, summed unnormalised: each denominator
     is a product of positive denominators, so it stays positive.  Nothing is
-    certified (see the module docstring), and a term with x = 0 adds nothing
-    and is skipped.  Sequences of unequal lengths raise ``ValueError``.
+    certified: a caller that needs a factor bound certifies first, as
+    ``mul_c`` does.  A term with x = 0 adds nothing and is skipped.
+    Sequences of unequal lengths raise ``ValueError``.
     """
-    _check_lengths(xs, ys)
+    if len(xs) != len(ys):
+        raise ValueError(f"dot product of sequences of lengths {len(xs)} and {len(ys)}")
     rn = imn = 0
     rd = imd = 1
     for ((an, ad), (bn, bd)), ((cn, cd), (dn, dd)) in zip(xs, ys):
@@ -329,29 +320,6 @@ def _dot_values(xs, ys):
     """``dot_pairs`` normalised: the exact (re, im) as two ``Fraction``s."""
     (rn, rd), (imn, imd) = dot_pairs(xs, ys)
     return Fraction(rn, rd), Fraction(imn, imd)
-
-
-def dot_c(xs, ys) -> ComplexPoint:
-    """Sum of x_i * y_i over the pairs of two sequences of complex points.
-
-    Each product is a ``mul_c`` with factor bound ``coord_bound(x_i, y_i)``,
-    added onto a running ``add_c`` sum from 0.  When every coordinate of
-    every term is constant, the sum is folded in integers instead (see the
-    module docstring) and returned as one constant point; the fold
-    certifies nothing, because no certification of a constant term can fail
-    under that bound.  Sequences of unequal lengths raise ``ValueError``
-    before any stage is read.
-    """
-    _check_lengths(xs, ys)
-    xps = [pairs_of(x) for x in xs]
-    yps = [pairs_of(y) for y in ys]
-    if None not in xps and None not in yps:
-        re, im = _dot_values(xps, yps)
-        return ComplexPoint(_constant(re), _constant(im))
-    acc = complex_of_rational(0)
-    for x, y in zip(xs, ys):
-        acc = add_c(acc, mul_c(x, y, coord_bound(x, y)))
-    return acc
 
 
 def modulus_interval(a: ComplexPoint, n: int):

@@ -1,19 +1,16 @@
-"""Characters on constant elements, folded as one integer dot product.
+"""The character laws on integer rows against the point path they replaced.
 
-``Character.apply`` is ``dot_c`` over the character's values and the
-element's coordinates.  When every coordinate is constant the sum is
-computed in integers; otherwise it is the loop of ``mul_c``/``add_c`` the
-fold replaces.  Both are compared here with the same computation on
-unflagged twins, ``RealPoint(CompletionPoint(LINE, lambda n: q))``, which
-always take the loop: equal stages by repr, or the same error type and
-message.  Inputs that mix constant and unflagged coordinates must take the
-loop exactly as written before the fold: the same stages of the same
-inputs, read in the same order.  The idempotent sum of the character check
-(``dot_c`` of the values against the unit) and the skipped zero terms of
-the default-bound fold are held to the same standard; the sum is also
-compared with the plain ``add_c`` chain from 0.  ``verify_spectrum``
-checks constant elements on integer rows; its reports must equal those of
-``_check_character``'s point path on the same elements.
+``gelfand`` computes the character laws on rows: one Gaussian rational per
+point as integer pairs ((re num, re den), (im num, im den)).  The point
+path it replaced is kept below as a test-local reference (``ref_*``), as
+written before the rows: a character is applied by the loop of
+``mul_c``/``add_c`` with the factor bound ``coord_bound``, the sample
+products are ``alg_mul``, and each law compares stage k + 3 of complex
+points with the ``Fraction`` rule.  The rows must give the same values, the
+same reports, or the same error type and message, on constant points and
+on unflagged twins, ``RealPoint(CompletionPoint(LINE, lambda n: q))``,
+which never fold.  A coordinate that is not constant is refused by name,
+and no stage of it is read.
 """
 
 from fractions import Fraction
@@ -22,16 +19,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from formalballs import gelfand, reals
+from formalballs import reals
 from formalballs.cli import main
 from formalballs.completion import CompletionPoint, point_of_carrier
 from formalballs.gelfand import (
     AlgebraElement,
     Character,
+    alg_mul,
+    duality_round_trip,
     spectrum_of_cn,
     verify_character,
     verify_spectrum,
 )
+from formalballs.numbers import half_pow
 from formalballs.reals import (
     LINE,
     BoundViolation,
@@ -39,8 +39,7 @@ from formalballs.reals import (
     RealPoint,
     add_c,
     complex_of_rational,
-    coord_bound,
-    dot_c,
+    dot_pairs,
     mul_c,
     real_of_rational,
 )
@@ -61,21 +60,126 @@ def twin(q, log=None, tag=None) -> RealPoint:
     return RealPoint(CompletionPoint(LINE, stage))
 
 
-def loop_apply(chi: Character, a: AlgebraElement) -> ComplexPoint:
-    """``Character.apply`` as written before the fold."""
+def points_of(pairs, make):
+    return tuple(ComplexPoint(make(re), make(im)) for re, im in pairs)
+
+
+def element_of(pairs, make):
+    return AlgebraElement(points_of(pairs, make))
+
+
+def row_of(pairs):
+    """The rationals (re, im) as a row of integer pairs."""
+    return tuple(
+        tuple((Fraction(q).numerator, Fraction(q).denominator) for q in z) for z in pairs
+    )
+
+
+def value(row_entry):
+    return tuple(Fraction(num, den) for num, den in row_entry)
+
+
+# -- the point path, as it was --------------------------------------------------
+
+
+def coord_bound(*points) -> int:
+    """A small certified integer bound on every coordinate of the points."""
+    worst = Fraction(1)
+    for z in points:
+        re, im = z.approx(4)
+        worst = max(worst, abs(re), abs(im))
+    return int(worst) + 2
+
+
+def ref_dot(xs, ys) -> ComplexPoint:
+    """A character applied as the loop: ``mul_c`` under ``coord_bound`` per
+    term, summed by ``add_c`` from 0."""
+    if len(xs) != len(ys):
+        raise ValueError(f"dot product of sequences of lengths {len(xs)} and {len(ys)}")
     acc = complex_of_rational(0)
-    for chi_e, coord in zip(chi.values, a.values):
-        acc = add_c(acc, mul_c(chi_e, coord, coord_bound(chi_e, coord)))
+    for x, y in zip(xs, ys):
+        acc = add_c(acc, mul_c(x, y, coord_bound(x, y)))
     return acc
 
 
-def outcome(build, ns):
-    """The reprs of the built point's stages, or the error it raised."""
+def ref_sum(zs) -> ComplexPoint:
+    """The sum of the points as the ``add_c`` chain from 0."""
+    acc = complex_of_rational(0)
+    for z in zs:
+        acc = add_c(acc, z)
+    return acc
+
+
+def ref_within(s, t, k, j):
+    return all(abs(x - y) + half_pow(k + j) < half_pow(k) for x, y in zip(s, t))
+
+
+def ref_check_character(label, chi, elements, k):
+    """The character laws on complex points, each read at stage k + 3."""
+    one, idempotents, products = elements
+    read = lambda z: z.approx(k + 3)
+    close = lambda z, target: ref_within(read(z), target, k, 2)
+    equal = lambda x, y: ref_within(read(x), read(y), k, 1)
+    failures = []
+    if not close(ref_dot(chi, one), (1, 0)):
+        failures.append({"law": "unit", "witness": "1"})
+    one_count = 0
+    zs = []
+    for i, e in enumerate(idempotents):
+        z = ref_dot(chi, e)
+        is0, is1 = close(z, (0, 0)), close(z, (1, 0))
+        if not (is0 or is1):
+            failures.append({"law": "idempotent dichotomy", "witness": f"e{i}"})
+        one_count += is1
+        zs.append(z)
+    if not close(ref_dot(zs, one), (1, 0)):
+        failures.append({"law": "idempotent sum", "witness": "sum e_i"})
+    if one_count != 1 and not failures:
+        failures.append({"law": "projection count", "witness": str(one_count)})
+    for a, b, a_plus_b, a_times_b in products:
+        lhs = ref_dot(chi, a_plus_b)
+        ca, cb = ref_dot(chi, a), ref_dot(chi, b)
+        if not equal(lhs, add_c(ca, cb)):
+            failures.append({"law": "additivity", "witness": "sampled pair"})
+        lhs = ref_dot(chi, a_times_b)
+        if not equal(lhs, mul_c(ca, cb, coord_bound(ca, cb))):
+            failures.append({"law": "multiplicativity", "witness": "sampled pair"})
+    return {"character": label, "result": "Pass" if not failures else "Fail",
+            "failures": failures, "k": k}
+
+
+def ref_verify_spectrum(chars, samples, bound, k):
+    """``verify_spectrum`` as it was, for characters given as (label, points)."""
+    built = {}
+    reports = []
+    for label, chi in chars:
+        n = len(chi)
+        if n not in built:
+            products = []
+            for a, b in samples:
+                if len(a.values) != len(b.values):
+                    raise ValueError(f"elements of lengths {len(a.values)} and "
+                                     f"{len(b.values)} do not combine")
+                a_plus_b = tuple(map(add_c, a.values, b.values))
+                products.append((a.values, b.values, a_plus_b, alg_mul(a, b, bound).values))
+            zero, one = complex_of_rational(0), complex_of_rational(1)
+            idempotents = [tuple(one if j == i else zero for j in range(n)) for i in range(n)]
+            built[n] = (one,) * n, idempotents, products
+        reports.append(ref_check_character(label, chi, built[n], k))
+    return reports
+
+
+def outcome(fn):
+    """The value fn returns, or the type and message of the error it raises."""
     try:
-        z = build()
-        return "ok", [repr(z.approx(n)) for n in ns]
+        return "ok", fn()
     except (BoundViolation, ValueError) as exc:
         return type(exc).__name__, str(exc)
+
+
+def stages(build, ns):
+    """The built point's stages as values, or the error it raised."""
+    return outcome(lambda: [build().approx(n) for n in ns])
 
 
 # non-dyadic denominators included; ints too, as point_of_carrier keeps them
@@ -92,12 +196,7 @@ def dot_cases(draw):
     return draw(pairs), draw(pairs)
 
 
-def character_of(pairs, make):
-    return Character(tuple(ComplexPoint(make(re), make(im)) for re, im in pairs))
-
-
-def element_of(pairs, make):
-    return AlgebraElement(tuple(ComplexPoint(make(re), make(im)) for re, im in pairs))
+# -- a character applied -----------------------------------------------------------
 
 
 @settings(max_examples=200, deadline=None)
@@ -105,134 +204,17 @@ def element_of(pairs, make):
 @example(([(Fraction(1, 3), Fraction(-2, 7))], [(Fraction(5, 6), 9)]), [0, 9])
 def test_apply_folds_as_the_loop_on_unflagged_twins(case, ns):
     chi_pairs, a_pairs = case
-    chi, a = character_of(chi_pairs, constant), element_of(a_pairs, constant)
-    folded = outcome(lambda: chi.apply(a), ns)
-    twins = outcome(
-        lambda: character_of(chi_pairs, twin).apply(element_of(a_pairs, twin)), ns)
-    assert folded == twins
-    assert folded == outcome(lambda: loop_apply(chi, a), ns)
-    if folded[0] == "ok":
-        chi, a = character_of(chi_pairs, constant), element_of(a_pairs, constant)
-        z = chi.apply(a)
-        assert z.re.underlying._value is not None and z.im.underlying._value is not None
-        # folding reads the value slots, never a stage of an input
-        for p in chi.values + a.values:
-            assert p.re.underlying._stages == {} and p.im.underlying._stages == {}
-
-
-@settings(max_examples=150, deadline=None)
-@given(dot_cases(), st.data(), stage_lists)
-def test_mixed_inputs_take_the_loop_and_read_the_same_stages(case, data, ns):
-    chi_pairs, a_pairs = case
-    flags = data.draw(st.lists(st.booleans(), min_size=4 * len(a_pairs),
-                               max_size=4 * len(a_pairs)))
-
-    def build(log):
-        coords = iter(zip(flags, range(len(flags))))
-
-        def make(q):
-            is_twin, tag = next(coords)
-            return twin(q, log, tag) if is_twin else constant(q)
-
-        return character_of(chi_pairs, make), element_of(a_pairs, make)
-
-    new_log, old_log = [], []
-    new = outcome(lambda: Character.apply(*build(new_log)), ns)
-    old = outcome(lambda: loop_apply(*build(old_log)), ns)
-    assert new == old
-    assert new_log == old_log
-
-
-@settings(max_examples=40, deadline=None)
-@given(dot_cases(), st.integers(-1, 13))
-def test_verify_character_answers_as_on_unflagged_twins(case, bound):
-    chi_pairs, a_pairs = case
-    b_pairs = [(im, re) for re, im in a_pairs]
-
-    def report(make):
-        chi = character_of(chi_pairs, make)
-        samples = [(element_of(a_pairs, make), element_of(b_pairs, make))]
-        try:
-            # alg_mul's bound; 13 covers every coordinate of ``rationals``
-            return verify_character(chi, samples, bound=bound, k=8)
-        except (BoundViolation, ValueError) as exc:
-            return type(exc).__name__, str(exc)
-
-    assert report(constant) == report(twin)
-
-
-def test_spectrum_characters_pass_on_constants_and_twins():
-    n = 3
-    for i in range(n):
-        pairs = [(1 if j == i else 0, 0) for j in range(n)]
-        samples = [(element_of([(Fraction(1, 3), 1)] * n, constant),
-                    element_of([(j, Fraction(-2, 5)) for j in range(n)], constant))]
-        for make in (constant, twin):
-            rep = verify_character(character_of(pairs, make), samples, bound=8, k=16)
-            assert rep["result"] == "Pass", rep
-
-
-def test_mul_c_rejects_a_none_bound_on_every_path():
-    # four constant coordinates used to fold under dot_c's default bound
-    for make in (constant, twin):
-        a = ComplexPoint(make(Fraction(1, 2)), make(1))
-        with pytest.raises(TypeError, match="^mul_c needs an int bound, got None$"):
-            mul_c(a, a, None)
-
-
-# -- the idempotent sum, the zero-term skip and the unchecked constants -----
-
-
-def loop_sum(zs) -> ComplexPoint:
-    """The sum of the points as the ``add_c`` chain from 0."""
-    acc = complex_of_rational(0)
-    for z in zs:
-        acc = add_c(acc, z)
-    return acc
-
-
-def points_of(pairs, make):
-    return [ComplexPoint(make(re), make(im)) for re, im in pairs]
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.lists(st.tuples(rationals, rationals), max_size=5), stage_lists)
-@example([], [0])
-@example([(1, 0), (0, 0), (Fraction(1, 3), Fraction(-1, 6))], [0, 7])
-def test_the_idempotent_sum_folds_to_the_add_c_chains_stages(pairs, ns):
-    one = gelfand.unit(len(pairs)).values
-    folded = outcome(lambda: dot_c(points_of(pairs, constant), one), ns)
-    assert folded == outcome(lambda: loop_sum(points_of(pairs, twin)), ns)
-    assert folded == outcome(lambda: loop_sum(points_of(pairs, constant)), ns)
-    zs = points_of(pairs, constant)
-    total = dot_c(zs, one)
-    assert total.re.underlying._value is not None and total.im.underlying._value is not None
-    for z in zs:
-        assert z.re.underlying._stages == {} and z.im.underlying._stages == {}
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.lists(st.tuples(rationals, rationals), min_size=1, max_size=5), st.data(),
-       stage_lists)
-def test_the_idempotent_sum_on_mixed_inputs_reads_the_loops_stages(pairs, data, ns):
-    flags = data.draw(st.lists(st.booleans(), min_size=2 * len(pairs),
-                               max_size=2 * len(pairs)))
-
-    def build(log):
-        coords = iter(zip(flags, range(len(flags))))
-
-        def make(q):
-            is_twin, tag = next(coords)
-            return twin(q, log, tag) if is_twin else constant(q)
-
-        return points_of(pairs, make)
-
-    one = AlgebraElement(gelfand.unit(len(pairs)).values)
-    new_log, old_log = [], []
-    new = outcome(lambda: dot_c(build(new_log), one.values), ns)
-    assert new == outcome(lambda: loop_sum(build([])), ns)
-    assert new == outcome(lambda: loop_apply(Character(tuple(build(old_log))), one), ns)
-    assert new_log == old_log
+    chi, a = Character(row_of(chi_pairs)), element_of(a_pairs, constant)
+    got = stages(lambda: chi.apply(a), ns)
+    assert got == stages(
+        lambda: ref_dot(points_of(chi_pairs, twin), element_of(a_pairs, twin).values), ns)
+    assert got == stages(lambda: ref_dot(points_of(chi_pairs, constant), a.values), ns)
+    a = element_of(a_pairs, constant)  # coord_bound read stage 4 of the first
+    z = chi.apply(a)
+    assert z.re.underlying._value is not None and z.im.underlying._value is not None
+    # the element is read as a row: no stage of it is read
+    for p in a.values:
+        assert p.re.underlying._stages == {} and p.im.underlying._stages == {}
 
 
 # mostly zeros, so that whole terms with x = 0 are common
@@ -247,11 +229,168 @@ sparse = st.sampled_from([0, 0, 0, Fraction(0), 1, Fraction(-2, 3)]) | rationals
 @example(([(0, Fraction(0)), (0, 0)], [(5, 5), (-7, 1)]), [0, 3])
 def test_zero_terms_skipped_under_the_default_bound_equal_the_twin_loop(case, ns):
     chi_pairs, a_pairs = case
-    chi, a = character_of(chi_pairs, constant), element_of(a_pairs, constant)
-    folded = outcome(lambda: chi.apply(a), ns)
-    assert folded == outcome(
-        lambda: character_of(chi_pairs, twin).apply(element_of(a_pairs, twin)), ns)
-    assert folded == outcome(lambda: loop_apply(chi, a), ns)
+    chi, a = Character(row_of(chi_pairs)), element_of(a_pairs, constant)
+    assert stages(lambda: chi.apply(a), ns) == stages(
+        lambda: ref_dot(points_of(chi_pairs, twin), element_of(a_pairs, twin).values), ns)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(rationals, rationals), max_size=5), stage_lists)
+@example([], [0])
+@example([(1, 0), (0, 0), (Fraction(1, 3), Fraction(-1, 6))], [0, 7])
+def test_the_idempotent_sum_folds_to_the_add_c_chains_stages(pairs, ns):
+    total = dot_pairs(row_of(pairs), row_of([(1, 0)] * len(pairs)))
+    want = stages(lambda: ref_sum(points_of(pairs, twin)), ns)
+    assert want == stages(lambda: ref_sum(points_of(pairs, constant)), ns)
+    assert want == ("ok", [value(total)] * len(ns))
+
+
+@settings(max_examples=100, deadline=None)
+@given(dot_cases(), st.data())
+def test_a_moving_coordinate_is_refused_by_name_before_any_stage_is_read(case, data):
+    chi_pairs, a_pairs = case
+    flags = data.draw(st.lists(st.booleans(), min_size=2 * len(a_pairs),
+                               max_size=2 * len(a_pairs)))
+    log = []
+    coords = iter(zip(flags, range(len(flags))))
+
+    def make(q):
+        is_twin, tag = next(coords)
+        return twin(q, log, tag) if is_twin else constant(q)
+
+    a = element_of(a_pairs, make)
+    moving = [i for i in range(len(a_pairs)) if flags[2 * i] or flags[2 * i + 1]]
+    got = outcome(lambda: Character(row_of(chi_pairs)).apply(a))
+    if moving:
+        assert got == ("ValueError", f"element coordinate {moving[0]} is not constant")
+    else:
+        assert got[0] == "ok"
+    assert log == []
+
+
+def test_a_moving_coordinate_is_named_by_every_law():
+    """``verify_character``, ``verify_spectrum`` and ``duality_round_trip``
+    refuse an element coordinate that is not constant, and name it."""
+    ok = element_of([(1, 0), (2, 1), (0, 0)], constant)
+    moving = AlgebraElement(ok.values[:2] + (ComplexPoint(constant(0), twin(0)),))
+    chi = spectrum_of_cn(3)[0]
+    for samples, name in (([(moving, ok)], "sample 0 a"),
+                          ([(ok, ok), (ok, moving)], "sample 1 b")):
+        message = f"^{name} coordinate 2 is not constant$"
+        with pytest.raises(ValueError, match=message):
+            verify_character(chi, samples, bound=8, k=16)
+        with pytest.raises(ValueError, match=message):
+            verify_spectrum(spectrum_of_cn(3), samples, bound=8, k=16)
+    # the element the round trip evaluates, made to move
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(AlgebraElement, "of_rationals",
+                  staticmethod(lambda pairs: element_of(pairs, twin)))
+        with pytest.raises(ValueError, match="^element coordinate 0 is not constant$"):
+            duality_round_trip(3, 16)
+
+
+# -- the laws against the point path --------------------------------------------
+
+
+@settings(max_examples=40, deadline=None)
+@given(dot_cases(), st.integers(-1, 13))
+def test_verify_character_answers_as_on_unflagged_twins(case, bound):
+    chi_pairs, a_pairs = case
+    b_pairs = [(im, re) for re, im in a_pairs]
+
+    def samples(make):
+        return [(element_of(a_pairs, make), element_of(b_pairs, make))]
+
+    # alg_mul's bound; 13 covers every coordinate of ``rationals``
+    got = outcome(lambda: verify_character(
+        Character(row_of(chi_pairs)), samples(constant), bound=bound, k=8))
+    for make in (twin, constant):
+        chars = [("chi", points_of(chi_pairs, make))]
+        assert got == outcome(lambda: ref_verify_spectrum(chars, samples(make), bound, 8)[0])
+
+
+def test_spectrum_characters_pass_on_constants_and_twins():
+    n = 3
+    for i in range(n):
+        pairs = [(1 if j == i else 0, 0) for j in range(n)]
+        sample = ([(Fraction(1, 3), 1)] * n, [(j, Fraction(-2, 5)) for j in range(n)])
+        rep = verify_character(Character(row_of(pairs)), [tuple(
+            element_of(p, constant) for p in sample)], bound=8, k=16)
+        assert rep["result"] == "Pass", rep
+        for make in (constant, twin):
+            samples = [tuple(element_of(p, make) for p in sample)]
+            rep = ref_verify_spectrum([("chi", points_of(pairs, make))], samples, 8, 16)[0]
+            assert rep["result"] == "Pass", rep
+
+
+# character values: the basis 0 and 1, non-basis reals such as 1/2, and
+# complex values
+char_values = st.sampled_from([0, 1, Fraction(1, 2), Fraction(-1, 3)]) | rationals
+
+
+@st.composite
+def spectrum_cases(draw):
+    """Characters of C^n that pass and that fail, sample pairs, bound and k.
+
+    Sample coordinates reach 12, and some sit at the edge of the bound, so
+    that certifications pass and fail; some samples have another length
+    than n, and some pairs have unequal lengths.
+    """
+    n = draw(st.integers(1, 6))
+    bound = draw(st.integers(1, 14))
+    chars = [(chi.label, [(1 if j == i else 0, 0) for j in range(n)])
+             for i, chi in enumerate(spectrum_of_cn(n)) if draw(st.booleans())]
+    for label in ("two 1s", "drawn"):
+        if draw(st.booleans()):
+            if label == "two 1s" and n > 1:
+                pairs = [(1, 0), (1, 0)] + [(0, 0)] * (n - 2)
+            else:
+                pairs = draw(st.lists(st.tuples(char_values, char_values | st.just(0)),
+                                      min_size=n, max_size=n))
+            chars.append((label, pairs))
+    # |c| + 2^-16 <= bound holds for ``fits`` (at equality on its edge) and
+    # fails for the edge of ``breaks``; one coordinate of a pair may break
+    fits = (st.fractions(min_value=1 - bound, max_value=bound - 1, max_denominator=30)
+            | st.sampled_from([bound - Fraction(1, 2 ** 16), Fraction(1, 2 ** 16) - bound]))
+    breaks = st.sampled_from([bound - Fraction(1, 2 ** 17), -bound]) | rationals
+    samples = []
+    for _ in range(draw(st.integers(0, 2))):
+        la = draw(st.sampled_from([n] * 5 + [n + 1]))
+        lb = draw(st.sampled_from([la] * 5 + [la + 1, la - 1]))
+        coords = [draw(st.lists(fits, min_size=2 * m, max_size=2 * m)) for m in (la, lb)]
+        if draw(st.booleans()):
+            side = coords[draw(st.integers(0, 1))]
+            if side:
+                side[draw(st.integers(0, len(side) - 1))] = draw(breaks)
+        samples.append(tuple(list(zip(c[::2], c[1::2])) for c in coords))
+    return chars, samples, bound, draw(st.sampled_from([0, 4, 16]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(spectrum_cases())
+@example(([("half", [(Fraction(1, 2), 0)] * 2)], [], 8, 0))
+@example(([("eval@0", [(1, 0)])], [([(1, 0)], [(2 - Fraction(1, 2 ** 17), 0)])], 2, 16))
+@example(([("eval@0", [(1, 0)])], [([(Fraction(1, 2 ** 16) - 2, 0)], [(1, 0)])], 2, 16))
+@example(([("eval@0", [(1, 0), (0, 0)])], [([(1, 0), (2, 0)], [(3, 0)])], 8, 16))
+def test_row_path_reports_equal_the_point_paths(case):
+    chars, samples, bound, k = case
+    elements = [tuple(element_of(p, constant) for p in pair) for pair in samples]
+    got = outcome(lambda: verify_spectrum(
+        [Character(row_of(pairs), label) for label, pairs in chars], elements, bound, k))
+    want = outcome(lambda: ref_verify_spectrum(
+        [(label, points_of(pairs, constant)) for label, pairs in chars], elements, bound, k))
+    assert got == want
+
+
+# -- mul_c and the unchecked constants ----------------------------------------------
+
+
+def test_mul_c_rejects_a_none_bound_on_every_path():
+    # four constant coordinates fold; the twins take the mul_r steps
+    for make in (constant, twin):
+        a = ComplexPoint(make(Fraction(1, 2)), make(1))
+        with pytest.raises(TypeError, match="^mul_c needs an int bound, got None$"):
+            mul_c(a, a, None)
 
 
 @pytest.mark.parametrize("make", [constant, twin])
@@ -273,9 +412,9 @@ def test_real_of_rational_still_rejects_a_bool():
 def test_every_unchecked_constant_is_a_line_element(monkeypatch, capsys):
     """Each value ``_constant`` receives passes the line's ``contains`` check.
 
-    The traffic is every folding operator, the spec of C^5, and README-style
-    ``real-eval`` requests; ``gelfand`` builds its 0 and 1 through
-    ``real_of_rational``, which calls the patched name.
+    The traffic is every folding operator, ``Character.apply`` through the
+    duality round trips of C^1 to C^6, the spec of C^5, and README-style
+    ``real-eval`` requests.
     """
     seen = []
     real_constant = reals._constant
@@ -292,79 +431,13 @@ def test_every_unchecked_constant_is_a_line_element(monkeypatch, capsys):
     reals.neg_r(x), reals.abs_r(x), reals.scale_r(x, "3/4"), reals.scale_r(y, 0)
     reals.mul_r(x, y, 3)
     z, w = complex_of_rational(1, Fraction(1, 2)), complex_of_rational(-3, 2)
-    mul_c(z, w, 4), dot_c([z, w], [w, z]), dot_c([z, w], gelfand.unit(2).values)
+    mul_c(z, w, 4)
     mul_c(*[ComplexPoint(constant(3), constant(-1))] * 2, 4)
+    for n in range(1, 7):
+        assert duality_round_trip(n, 16)["result"] == "Pass"
     for argv in (["spec", '{"n": 5}'], ["real-eval", "mul(sub(1/2, 3), abs(-5/4), 8)"],
                  ["real-eval", "max(neg(1/3), min(2, add(1, 1/7)))"]):
         assert main(argv) == 0
     capsys.readouterr()
     assert len(seen) > 100
     assert {type(v) for v in seen} == {int, Fraction}
-
-
-# -- the row path of verify_spectrum against the point path ------------------
-
-# character values: the basis 0 and 1, non-basis reals such as 1/2, and
-# complex values
-char_values = st.sampled_from([0, 1, Fraction(1, 2), Fraction(-1, 3)]) | rationals
-
-
-@st.composite
-def spectrum_cases(draw):
-    """Characters of C^n that pass and that fail, sample pairs, bound and k."""
-    n = draw(st.integers(1, 4))
-    chars = [chi for chi in spectrum_of_cn(n) if draw(st.booleans())]
-    for label in ("two 1s", "drawn"):
-        if draw(st.booleans()):
-            if label == "two 1s" and n > 1:
-                pairs = [(1, 0), (1, 0)] + [(0, 0)] * (n - 2)
-            else:
-                pairs = draw(st.lists(st.tuples(char_values, char_values | st.just(0)),
-                                      min_size=n, max_size=n))
-            chars.append(Character(character_of(pairs, constant).values, label=label))
-    # a sample of another length fails as the point path does, with its error
-    m = draw(st.sampled_from([n] * 5 + [n + 1]))
-    coords = st.lists(st.tuples(rationals, rationals), min_size=m, max_size=m)
-    samples = [(element_of(draw(coords), constant), element_of(draw(coords), constant))
-               for _ in range(draw(st.integers(0, 2)))]
-    return chars, samples, draw(st.integers(1, 14)), draw(st.sampled_from([0, 4, 16]))
-
-
-def reports_or_error(fn):
-    try:
-        return fn()
-    except (BoundViolation, ValueError) as exc:
-        return type(exc).__name__, str(exc)
-
-
-@settings(max_examples=150, deadline=None)
-@given(spectrum_cases())
-@example(([Character(character_of([(Fraction(1, 2), 0)] * 2, constant).values, "half")],
-          [], 8, 0))
-def test_row_path_reports_equal_the_point_paths(case):
-    chars, samples, bound, k = case
-
-    def point_reports():
-        built = {}
-        out = []
-        for chi in chars:
-            if chi.n not in built:
-                built[chi.n] = gelfand._elements(chi.n, samples, bound)
-            out.append(gelfand._check_character(
-                chi.label, chi.values, built[chi.n], k, gelfand._POINTS))
-        return out
-
-    paths = []
-    real_check = gelfand._check_character
-
-    def spy(label, chi, elements, k, values):
-        paths.append(values)
-        return real_check(label, chi, elements, k, values)
-
-    want = reports_or_error(point_reports)
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(gelfand, "_check_character", spy)
-        got = reports_or_error(lambda: verify_spectrum(chars, samples, bound, k))
-    assert got == want
-    # every character that was checked took the row path
-    assert all(values is gelfand._ROWS for values in paths)

@@ -8,7 +8,6 @@ from formalballs.gelfand import (
     Character,
     FiniteDiscreteSpace,
     admissibility_theorem_check,
-    alg_add,
     alg_mul,
     cstar_identity_check,
     duality_round_trip,
@@ -26,13 +25,18 @@ from formalballs.reals import (
     LINE,
     ComplexPoint,
     RealPoint,
+    add_pairs,
     complex_of_rational,
-    dot_c,
+    dot_pairs,
     real_of_rational,
 )
 
 
 X2 = FiniteDiscreteSpace(2)
+
+# Gaussian rationals as the integer pairs ((re num, re den), (im num, im den))
+# of a character's row
+ZERO, HALF, ONE = ((0, 1), (0, 1)), ((1, 2), (0, 1)), ((1, 1), (0, 1))
 
 
 def test_admissibility_examples():
@@ -114,9 +118,7 @@ def test_characters_verify():
 
 def test_bad_character_fails_multiplicativity():
     # sum of two coordinates: sends both basis idempotents to 1
-    chi = Character(
-        (complex_of_rational(1), complex_of_rational(1)), label="sum"
-    )
+    chi = Character((ONE, ONE), label="sum")
     rep = verify_character(chi, [], bound=8, k=16)
     assert rep["result"] == "Fail"
     laws = {f["law"] for f in rep["failures"]}
@@ -136,7 +138,7 @@ def test_verify_spectrum_reports_as_one_character_calls():
             AlgebraElement.of_rationals([(0, 2), (1, Fraction(2, 3))]),
         )
     ]
-    bad = Character(tuple(complex_of_rational(1) for _ in range(3)), label="sum")
+    bad = Character((ONE,) * 3, label="sum")
     cases = [
         (spectrum_of_cn(3) + [bad], samples3, ["Pass"] * 3 + ["Fail"]),
         (spectrum_of_cn(2), samples2, ["Pass"] * 2),
@@ -161,18 +163,21 @@ def test_unequal_lengths_raise_before_any_stage_is_read():
         return ComplexPoint(RealPoint(CompletionPoint(LINE, stage)), real_of_rational(0))
 
     for make in (complex_of_rational, logged):
-        with pytest.raises(ValueError, match="lengths 1 and 2"):
-            dot_c([make(1)], [make(2), make(3)])
         a = AlgebraElement((make(1), make(2)))
         b = AlgebraElement((make(3),))
         with pytest.raises(ValueError, match="lengths 2 and 1"):
-            alg_add(a, b)
-        with pytest.raises(ValueError, match="lengths 2 and 1"):
             alg_mul(a, b, 8)
     assert reads == []
+    with pytest.raises(ValueError, match="lengths 1 and 2"):
+        dot_pairs((ONE,), (ONE, HALF))
+    with pytest.raises(ValueError, match="lengths 1 and 2"):
+        spectrum_of_cn(1)[0].apply(AlgebraElement.of_rationals([(2, 0), (3, 0)]))
     a, b = (AlgebraElement.of_rationals([(j, 1), (1, 0)]) for j in (1, 2))
     with pytest.raises(ValueError, match="lengths 3 and 2"):
         verify_character(spectrum_of_cn(3)[2], [(a, b)], bound=8, k=16)
+    short = AlgebraElement.of_rationals([(1, 0)])
+    with pytest.raises(ValueError, match="^elements of lengths 2 and 1 do not combine$"):
+        verify_character(spectrum_of_cn(2)[0], [(a, short)], bound=8, k=16)
 
 
 # -- each law of the character check can fail ------------------------------
@@ -183,13 +188,13 @@ def _failed_laws(report):
 
 
 def test_zero_character_fails_unit_and_idempotent_sum():
-    zero = Character((complex_of_rational(0),) * 2, label="zero")
+    zero = Character((ZERO,) * 2, label="zero")
     laws = _failed_laws(verify_character(zero, [], bound=8, k=16))
     assert "unit" in laws and "idempotent sum" in laws
 
 
 def test_half_character_fails_dichotomy_and_projection_count():
-    half = Character((complex_of_rational(Fraction(1, 2)),) * 2, label="half")
+    half = Character((HALF,) * 2, label="half")
     # at k = 16, 1/2 is neither 0 nor 1
     assert "idempotent dichotomy" in _failed_laws(verify_character(half, [], bound=8, k=16))
     # at k = 0, 1/2 passes as both, so both idempotents count as sent to 1
@@ -197,8 +202,13 @@ def test_half_character_fails_dichotomy_and_projection_count():
 
 
 def test_wrong_sum_fails_additivity(monkeypatch):
-    real_add = gelfand.alg_add
-    monkeypatch.setattr(gelfand, "alg_add", lambda a, b: real_add(real_add(a, b), b))
+    real_sample = gelfand._sample
+
+    def wrong_sum(a, b, bound):
+        a, b, a_plus_b, a_times_b = real_sample(a, b, bound)
+        return a, b, tuple(map(add_pairs, a_plus_b, b)), a_times_b
+
+    monkeypatch.setattr(gelfand, "_sample", wrong_sum)
     samples = [
         (
             AlgebraElement.of_rationals([(1, 0), (2, 1)]),
@@ -218,37 +228,39 @@ def test_rotated_spectrum_fails_separation_and_round_trip(monkeypatch):
 
 
 def test_verify_spectrum_builds_the_elements_once_per_n(monkeypatch):
-    chars = spectrum_of_cn(4)
+    chars = spectrum_of_cn(4) + spectrum_of_cn(2) + spectrum_of_cn(4)[:1]
+    samples = [(AlgebraElement.of_rationals([(1, 0)] * 4),) * 2]
     built = []
-    real_idempotent, real_unit = gelfand.idempotent, gelfand.unit
+    real_basis, real_sample = gelfand._basis, gelfand._sample
 
-    def idempotent(n, i):
-        built.append(("e", n, i))
-        return real_idempotent(n, i)
+    def basis(n):
+        built.append(("e", n))
+        return real_basis(n)
 
-    def unit(n):
-        built.append(("1", n))
-        return real_unit(n)
+    def sample(a, b, bound):
+        built.append(("ab", len(a)))
+        return real_sample(a, b, bound)
 
-    monkeypatch.setattr(gelfand, "idempotent", idempotent)
-    monkeypatch.setattr(gelfand, "unit", unit)
+    monkeypatch.setattr(gelfand, "_basis", basis)
+    monkeypatch.setattr(gelfand, "_sample", sample)
     verify_spectrum(chars, [], bound=8, k=16)
-    assert sorted(built) == [("1", 4)] + [("e", 4, i) for i in range(4)]
+    assert built == [("e", 4), ("e", 2)]
+    built.clear()
+    verify_spectrum(chars[:4], samples, bound=8, k=16)
+    assert built == [("ab", 4), ("e", 4)]
 
 
-@pytest.mark.parametrize("n, points", [(5, 62), (32, 386)])
+@pytest.mark.parametrize("n, points", [(5, 0), (32, 0)])
 def test_spec_point_constructions_are_pinned(monkeypatch, capsys, n, points):
     """The completion points one ``spec`` request builds, a count of its work.
 
     Before the elements were built from unchecked shared constants and the
     idempotent sum was folded, the counts were 330 (n = 5) and 9024 (n = 32).
-    Before the character laws ran on integer rows, they were 192 and 2946:
-    each character application and each sum and product law built two
-    constant points.  Now only the elements are points: 2 for the unit's
-    shared 0 and 1, 2 for each of the n idempotents of the elements and the
-    n of the characters, and 2n for each of a, b, a + b and a b of the one
-    sample: 2 + 12 n, so 62 (n = 5) and 386 (n = 32).  A change that moves
-    them names the new counts and the reason.
+    Before the character laws ran on integer rows, they were 192 and 2946.
+    Before the elements, the characters and the sample were built as rows,
+    they were 2 + 12 n: 62 (n = 5) and 386 (n = 32).  Now ``spec`` builds
+    no point at all.  A change that moves them names the new counts and the
+    reason.
     """
     from formalballs.cli import main
 

@@ -6,8 +6,10 @@ bound check of ``mul_r`` and the character-law comparison ``_within`` of
 takes them as (num, den) pairs, in lowest terms or not).  Each is
 compared here with the ``Fraction`` formula it replaced, kept below as a
 reference: equal results by repr (so equal values of the same type), or the
-same error type and message.  The certification that the constant dot
-product no longer runs under its default bound is asserted here instead.
+same error type and message.  ``certify_constant`` is held to the rule on
+constant points, with its pairs scaled out of lowest terms.  The
+certification that the row laws of ``gelfand`` do not run on a character
+term or on the product law's right-hand side is asserted here instead.
 """
 
 from fractions import Fraction
@@ -27,7 +29,7 @@ from formalballs.reals import (
     RealPoint,
     _certify_bound,
     _fits,
-    coord_bound,
+    certify_constant,
     modulus_interval,
     mul_r,
 )
@@ -188,6 +190,18 @@ def test_certify_bound_matches_the_fraction_rule(case):
     assert outcome(_certify_bound, p, bound) == outcome(ref_certify_bound, p, bound)
 
 
+@settings(max_examples=300, deadline=None)
+@given(near_the_edge(), st.integers(1, 6))
+def test_certify_constant_matches_the_fraction_rule(case, scale):
+    bound, stage = case
+    c = stage(16)
+    p = RealPoint(point_of_carrier(LINE, c))
+    want = outcome(ref_certify_bound, p, bound)
+    assert outcome(_certify_bound, p, bound) == want
+    pair = (c.numerator * scale, c.denominator * scale)
+    assert outcome(certify_constant, *pair, bound) == want
+
+
 @st.composite
 def factor_near_the_bound(draw, bound):
     """A factor that certifies at stages 4, 8, 16 and sits at ±bound elsewhere.
@@ -286,7 +300,7 @@ def test_within_matches_the_fraction_formula(case):
     assert _within(pairs(a, 6), pairs(b, 35), k, j) == want
 
 
-# -- the certification a constant dot product skips under its default bound ----
+# -- the certification the row laws skip ---------------------------------------
 
 near_integers = st.builds(
     lambda n, e, sign: n + sign * Fraction(1, 2 ** e),
@@ -301,12 +315,11 @@ near_integers = st.builds(
 def test_the_default_bound_certifies_every_coordinate(coords):
     """``_fits`` holds for each coordinate under ``coord_bound`` of its term.
 
-    This is the check the integer dot product stopped running with
-    ``bound=None``: the bound is max(1, floor|c|) + 2 and |c| < floor|c| + 1.
+    This is the check the row laws skip: the point path certified each
+    character term and each product law's right-hand side under this bound,
+    which is max(1, floor|c|) + 2 with |c| < floor|c| + 1, so it never fails.
     """
-    xr, xi, yr, yi = coords
-    point = lambda re, im: ComplexPoint(
-        RealPoint(point_of_carrier(LINE, re)), RealPoint(point_of_carrier(LINE, im)))
-    bound = coord_bound(point(xr, xi), point(yr, yi))
+    # coord_bound of the term: stage 4 of a constant is its value
+    bound = int(max(Fraction(1), *map(abs, coords))) + 2
     for c in coords:
         assert _fits(c.numerator, c.denominator, bound)
