@@ -363,9 +363,12 @@ def _sample(a, b, bound: int):
     Each coordinate pair of a b is certified as ``mul_c`` certifies four
     constant factors: |c| + 2^-16 <= bound for a.re, b.re, a.im, b.im in
     turn (``certify_constant``), so every error is ``alg_mul``'s, in the
-    same order.
+    same order; a ``None`` bound raises ``mul_c``'s ``TypeError`` at the
+    first coordinate pair.
     """
     pairs = list(_coordinates(a, b))
+    if pairs and bound is None:
+        raise TypeError("mul_c needs an int bound, got None")
     for x, y in pairs:
         for num, den in (x[0], y[0], x[1], y[1]):
             certify_constant(num, den, bound)

@@ -39,8 +39,9 @@ ALLOWED = {
     "cli._help": "prints the usage text for -h/--help only; test_cli_reader runs it",
     "completion.CompletionPoint.to_json": "failure path: a round-trip violation",
     "gelfand._failure": "failure path: a failed admissibility witness",
-    "reals.add_c": "the exported complex sum; the traffic sums constant complex values as "
-                   "integer rows, and test_reals and test_character_fold run it",
+    "reals.add_c": "public API: the complex sum, exported with mul_c and conj_c as the "
+                   "ring operations of C; the library sums its constant complex values "
+                   "as integer rows, so only callers outside it reach add_c",
     "upper.UpperReal.__repr__": "debugging aid",
 }
 
